@@ -1,10 +1,11 @@
 #!/usr/bin/env sh
 # Tier-1 verify: configure, build, run the full ctest suite, then the
-# persistent-cache / sharded-sweep smoke checks.
+# persistent-cache / multi-process sweep smoke checks.
 # Usage: scripts/ci.sh [quick|test|smoke|asan]
 #   quick  -- build + the fast unit-label subset (pre-commit loop)
 #   test   -- build + the full ctest suite
-#   smoke  -- cache/shard end-to-end checks against an existing build
+#   smoke  -- cache/--jobs/queue end-to-end checks against an existing
+#             build
 #   asan   -- ASan+UBSan instrumented build (build-asan/) + the
 #             quick-label suites under both sanitizers
 #   (none) -- test + smoke
@@ -37,8 +38,9 @@ asan() {
 # End-to-end checks of the execution backends:
 #  1. a warm --cache-dir invocation must simulate nothing (the run
 #     counter printed by --exec-stats must say sims=0);
-#  2. a sharded --jobs sweep must print tables byte-identical to the
-#     single-process run;
+#  2. a --jobs sweep (forked local queue workers) must print tables
+#     byte-identical to the single-process run and leave no scratch
+#     spool behind in $TMPDIR;
 #  3. a --backend=queue sweep drained by two bwsim --worker processes
 #     must also print byte-identical tables;
 #  4. --cache-stats must report the warm entries and --cache-max-mb=0
@@ -63,8 +65,10 @@ smoke() {
         exit 1
     }
 
-    echo "smoke: --jobs sharded sweep parity"
+    echo "smoke: --jobs multi-process sweep parity"
     ./build/bwsim $bwsim_args > "$smoke_tmp/single.out"
+    mkdir "$smoke_tmp/tmp"
+    TMPDIR="$smoke_tmp/tmp" \
     ./build/bwsim $bwsim_args --jobs=2 --cache-dir="$smoke_tmp/jobs" \
         > "$smoke_tmp/jobs.out"
     cmp "$smoke_tmp/single.out" "$smoke_tmp/jobs.out" || {
@@ -72,6 +76,11 @@ smoke() {
              "single-process run" >&2
         exit 1
     }
+    if [ -n "$(ls -A "$smoke_tmp/tmp")" ]; then
+        echo "smoke FAIL: --jobs=2 leaked its scratch spool:" >&2
+        ls -A "$smoke_tmp/tmp" >&2
+        exit 1
+    fi
 
     echo "smoke: --backend=queue parity with 2 workers"
     spool="$smoke_tmp/spool"
@@ -125,7 +134,7 @@ smoke() {
         exit 1
     }
     # Replay is bit-identical across scheduler modes and the --jobs
-    # fork-merge path, exactly like synthetic workloads.
+    # local-worker path, exactly like synthetic workloads.
     trace_args="fig4 --trace=$smoke_tmp/replay.bwtr --threads=2"
     ./build/bwsim $trace_args --scheduler=lockstep \
         > "$smoke_tmp/trace-lock.out"

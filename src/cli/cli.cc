@@ -2,12 +2,14 @@
 
 #include <algorithm>
 #include <chrono>
+#include <csignal>
+#include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
-#include <iostream>
-#include <sstream>
 #include <thread>
 
+#include "common/atomic_file.hh"
 #include "common/log.hh"
 #include "core/cost_model.hh"
 #include "core/disk_cache.hh"
@@ -21,10 +23,12 @@
 #include "workloads/trace_source.hh"
 
 #ifdef __unix__
-#include <fcntl.h>
 #include <sys/utsname.h>
 #include <sys/wait.h>
 #include <unistd.h>
+#endif
+#ifdef __linux__
+#include <sys/prctl.h>
 #endif
 
 namespace bwsim::cli
@@ -32,6 +36,8 @@ namespace bwsim::cli
 
 namespace
 {
+
+namespace fs = std::filesystem;
 
 /**
  * Format-aware emitters: in text mode every byte matches the legacy
@@ -379,20 +385,18 @@ printUsage(std::ostream &os)
           "  --cache-dir=DIR   persistent SimCache tier: warm\n"
           "                    (profile, config) pairs load from DIR\n"
           "                    instead of re-simulating\n"
-          "  --jobs=N          fork N shard workers over a shared\n"
-          "                    cache dir, then merge and print\n"
-          "  --shards=N        sharded-sweep worker mode: simulate\n"
-          "  --shard-id=I      only this worker's share of the keys\n"
-          "                    (requires --cache-dir; no tables are\n"
-          "                    printed, run the merge pass for those)\n"
+          "  --jobs=N          fork N local work-queue workers and\n"
+          "                    send cache misses to them; the spool\n"
+          "                    is --spool-dir, else a scratch dir\n"
+          "                    under $TMPDIR removed at exit\n"
           "  --backend=B       how cache misses execute: threads\n"
-          "                    (in-process pool, default), jobs\n"
-          "                    (forked shard workers, needs --jobs),\n"
-          "                    queue (spool-dir work queue drained by\n"
+          "                    (in-process pool, default) or queue\n"
+          "                    (spool-dir work queue drained by\n"
           "                    bwsim --worker processes on any hosts\n"
-          "                    sharing the filesystem)\n"
+          "                    sharing the filesystem, plus --jobs\n"
+          "                    local ones)\n"
           "  --spool-dir=DIR   work-queue spool directory\n"
-          "                    (--backend=queue and --worker)\n"
+          "                    (--backend=queue, --jobs, --worker)\n"
           "  --job-timeout=S   reclaim a claimed-but-abandoned spool\n"
           "                    job after S seconds (default 300)\n"
           "  --worker          run as a work-queue worker: claim jobs\n"
@@ -442,9 +446,9 @@ printUsage(std::ostream &os)
 void
 printList(std::ostream &os)
 {
-    stats::TextTable t({"experiment", "replaces", "description"});
+    stats::TextTable t({"experiment", "description"});
     for (const auto &e : experimentRegistry())
-        t.newRow().add(e.name).add(e.legacy).add(e.title);
+        t.newRow().add(e.name).add(e.title);
     t.print(os);
 }
 
@@ -524,12 +528,11 @@ printExecStats(std::ostream &err)
     const SimCache &cache = SimCache::global();
     err << csprintf(
         "bwsim: exec stats: sims=%llu mem-hits=%llu disk-hits=%llu "
-        "disk-stores=%llu skipped=%llu backend=%s\n",
+        "disk-stores=%llu backend=%s\n",
         static_cast<unsigned long long>(cache.simsRun()),
         static_cast<unsigned long long>(cache.hits()),
         static_cast<unsigned long long>(cache.diskHits()),
         static_cast<unsigned long long>(cache.diskStores()),
-        static_cast<unsigned long long>(cache.skipped()),
         exp::executionBackend().name().c_str());
     const SimSpeedTotals speed = simSpeedTotals();
     err << csprintf(
@@ -932,142 +935,196 @@ runTraceTool(const std::vector<std::string> &args, std::ostream &out,
 
 #ifdef __unix__
 
-/** Join for --benches= round trips. */
-std::string
-joinCsv(const std::vector<std::string> &items)
+/**
+ * The --jobs=N fan-out: N forked children, each a work-queue worker
+ * draining one spool with its own disk-less SimCache. The parent is
+ * the only process that touches --cache-dir: it serves warm pairs and
+ * stores fresh ones while its WorkQueueBackend dispatches the misses,
+ * so the tables are byte-identical to an in-process run. The spool is
+ * --spool-dir (shared with any external workers) or a scratch
+ * directory under $TMPDIR that is removed at the end.
+ */
+class LocalWorkers
 {
-    std::string out;
-    for (std::size_t i = 0; i < items.size(); ++i) {
-        if (i)
-            out += ',';
-        out += items[i];
+  public:
+    LocalWorkers() = default;
+    LocalWorkers(const LocalWorkers &) = delete;
+    LocalWorkers &operator=(const LocalWorkers &) = delete;
+
+    ~LocalWorkers()
+    {
+        if (!pids.empty())
+            stop(true);
     }
-    return out;
-}
+
+    /** Fork the workers; false, with a message on @p err, on failure. */
+    bool
+    start(const exp::ExperimentOptions &opts, std::ostream &err)
+    {
+        cfg.spoolDir = opts.spoolDir;
+        cfg.jobTimeoutSec = static_cast<double>(opts.jobTimeoutSec);
+        std::error_code ec;
+        if (cfg.spoolDir.empty()) {
+            std::string tmpl = scratchSpoolDirTemplate();
+            if (!::mkdtemp(tmpl.data())) {
+                err << "bwsim: cannot create a --jobs scratch spool "
+                       "under '"
+                    << tmpl << "'\n";
+                return false;
+            }
+            cfg.spoolDir = tmpl;
+            scratch = true;
+        } else if (!fs::create_directories(cfg.spoolDir, ec) && ec) {
+            err << "bwsim: cannot create --spool-dir '" << cfg.spoolDir
+                << "': " << ec.message() << "\n";
+            return false;
+        }
+        // A stale sentinel would make the new workers exit at once.
+        fs::remove(stopPath(), ec);
+
+        // Children _exit() without flushing, but a fatal() in one
+        // would flush a copy of anything still buffered here.
+        std::fflush(nullptr);
+        [[maybe_unused]] const pid_t parent = ::getpid();
+        for (int i = 0; i < opts.jobs; ++i) {
+            const pid_t pid = ::fork();
+            if (pid < 0) {
+                err << "bwsim: fork failed for --jobs worker " << i
+                    << "\n";
+                stop(true);
+                return false;
+            }
+            if (pid == 0) {
+#ifdef __linux__
+                // A parent that dies without stopping its workers
+                // (fatal(), a signal) must not leave them polling.
+                ::prctl(PR_SET_PDEATHSIG, SIGTERM);
+                if (::getppid() != parent)
+                    ::_exit(1);
+#endif
+                try {
+                    SimCache cache;
+                    runWorker(cfg, cache);
+                } catch (...) {
+                    ::_exit(1);
+                }
+                ::_exit(0);
+            }
+            pids.push_back(pid);
+        }
+        return true;
+    }
+
+    /** Send the global SimCache's misses to these workers until stop(). */
+    void
+    install()
+    {
+        SimCache::global().setSimulationBackend(
+            std::make_shared<WorkQueueBackend>(cfg,
+                                               [this] { return alive(); }));
+    }
+
+    /**
+     * The WorkQueueBackend liveness hook: false once any worker has
+     * exited, which only a failure does while jobs are pending. The
+     * survivors are killed and the scratch spool removed first, so the
+     * caller's fatal exit leaks nothing.
+     */
+    bool
+    alive()
+    {
+        for (pid_t pid : pids) {
+            if (::waitpid(pid, nullptr, WNOHANG) != 0) {
+                stop(true);
+                return false;
+            }
+        }
+        return true;
+    }
+
+    /**
+     * Stop and reap every worker -- by SIGTERM when @p force, else by
+     * the drain-then-exit SPOOL/stop sentinel -- and remove the
+     * sentinel (and a scratch spool). Uninstalls the backend, whose
+     * hook must not outlive this object. True when every worker
+     * exited 0.
+     */
+    bool
+    stop(bool force = false)
+    {
+        SimCache::global().setSimulationBackend(nullptr);
+        // Without a sentinel the workers would never exit: kill them.
+        if (!force && !atomicWriteFile(stopPath(), ""))
+            force = true;
+        bool ok = true;
+        for (pid_t pid : pids) {
+            if (force)
+                ::kill(pid, SIGTERM);
+            int status = 0;
+            if (::waitpid(pid, &status, 0) != pid || !WIFEXITED(status) ||
+                WEXITSTATUS(status) != 0)
+                ok = false;
+        }
+        pids.clear();
+        std::error_code ec;
+        fs::remove(stopPath(), ec);
+        if (scratch)
+            fs::remove_all(cfg.spoolDir, ec);
+        return ok;
+    }
+
+  private:
+    fs::path stopPath() const { return fs::path(cfg.spoolDir) / "stop"; }
+
+    WorkQueueConfig cfg;
+    bool scratch = false;
+    std::vector<pid_t> pids;
+};
+
+#endif // __unix__
 
 /**
- * The --jobs=N parent: fork N worker invocations of this binary, each
- * simulating one shard of the key space into a shared cache
- * directory, then run the experiments in-process against the warm
- * cache. The merged tables are byte-identical to a single-process
- * run.
+ * Run @p names in order, blank-line separated. With --jobs=N the
+ * cache misses go to N forked local work-queue workers, forked before
+ * configureExecution() so they inherit no disk tier.
  */
 int
-runJobs(const std::vector<std::string> &names,
-        exp::ExperimentOptions opts, std::ostream &out, std::ostream &err)
+runExperiments(const std::vector<std::string> &names,
+               const exp::ExperimentOptions &opts, std::ostream &out,
+               std::ostream &err)
 {
-    char exe[4096];
-    ssize_t len = ::readlink("/proc/self/exe", exe, sizeof(exe) - 1);
-    if (len <= 0) {
-        err << "bwsim: --jobs needs /proc/self/exe to respawn itself\n";
+#ifdef __unix__
+    LocalWorkers workers;
+    if (opts.jobs > 1 && !workers.start(opts, err))
+        return 1;
+    exp::configureExecution(opts);
+    if (opts.jobs > 1)
+        workers.install();
+#else
+    if (opts.jobs > 1) {
+        err << "bwsim: --jobs is only supported on unix hosts\n";
         return 1;
     }
-    exe[len] = '\0';
-
-    std::string dir = opts.cacheDir;
-    if (dir.empty()) {
-        std::string tmpl_str = scratchCacheDirTemplate();
-        std::vector<char> tmpl(tmpl_str.begin(), tmpl_str.end());
-        tmpl.push_back('\0');
-        const char *d = ::mkdtemp(tmpl.data());
-        if (!d) {
-            err << "bwsim: cannot create a temporary --jobs cache dir "
-                   "under '"
-                << tmpl_str << "'\n";
-            return 1;
-        }
-        dir = d;
-        err << "bwsim: --jobs without --cache-dir; results kept in "
-            << dir << "\n";
-    }
-
-    // Divide the thread budget across workers instead of letting each
-    // one claim the whole machine (0 = hardware concurrency).
-    int total_threads =
-        opts.threads > 0
-            ? opts.threads
-            : static_cast<int>(
-                  std::max(1u, std::thread::hardware_concurrency()));
-    int worker_threads = std::max(1, total_threads / opts.jobs);
-
-    std::vector<std::string> common_args;
-    for (const auto &n : names)
-        common_args.push_back(n);
-    if (!opts.benchmarks.empty())
-        common_args.push_back("--benches=" + joinCsv(opts.benchmarks));
-    if (!opts.tracePath.empty())
-        common_args.push_back("--trace=" + opts.tracePath);
-    common_args.push_back(csprintf("--threads=%d", worker_threads));
-    common_args.push_back(csprintf("--shrink=%d", opts.shrink));
-    common_args.push_back("--cache-dir=" + dir);
-    common_args.push_back(csprintf("--shards=%d", opts.jobs));
-
-    std::vector<pid_t> workers;
-    for (int i = 0; i < opts.jobs; ++i) {
-        pid_t pid = ::fork();
-        if (pid < 0) {
-            err << "bwsim: fork failed for shard worker " << i << "\n";
-            for (pid_t w : workers)
-                ::waitpid(w, nullptr, 0);
-            return 1;
-        }
-        if (pid == 0) {
-            // Workers stay quiet on stdout: the parent's merge pass
-            // prints the tables. stderr stays shared for errors. A
-            // worker that cannot detach stdout must die rather than
-            // interleave its tables with the merge pass's.
-            int devnull = ::open("/dev/null", O_WRONLY);
-            if (devnull < 0)
-                ::_exit(125);
-            ::dup2(devnull, STDOUT_FILENO);
-            ::close(devnull);
-            std::vector<std::string> args = common_args;
-            args.push_back(csprintf("--shard-id=%d", i));
-            std::vector<char *> argv;
-            argv.push_back(exe);
-            for (auto &a : args)
-                argv.push_back(const_cast<char *>(a.c_str()));
-            argv.push_back(nullptr);
-            ::execv(exe, argv.data());
-            ::_exit(127);
-        }
-        workers.push_back(pid);
-    }
-
-    bool failed = false;
-    for (pid_t w : workers) {
-        int status = 0;
-        if (::waitpid(w, &status, 0) < 0 || !WIFEXITED(status) ||
-            WEXITSTATUS(status) != 0)
-            failed = true;
-    }
-    if (failed) {
-        err << "bwsim: a --jobs shard worker failed\n";
-        return 1;
-    }
-
-    // Merge pass: every unique pair is warm in the shared directory,
-    // so this simulates nothing and prints in spec order.
-    opts.jobs = 1;
-    opts.shards = 1;
-    opts.shardId = 0;
-    opts.cacheDir = dir;
+    exp::configureExecution(opts);
+#endif
     for (std::size_t i = 0; i < names.size(); ++i) {
         if (i > 0)
             out << "\n";
-        int rc = runExperiment(names[i], opts, out, err);
-        if (rc)
-            return rc;
+        findExperiment(names[i])->run(opts, out);
     }
+#ifdef __unix__
+    if (opts.jobs > 1 && !workers.stop()) {
+        err << "bwsim: a --jobs worker failed\n";
+        return 1;
+    }
+#endif
     return 0;
 }
-
-#endif // __unix__
 
 } // anonymous namespace
 
 std::string
-scratchCacheDirTemplate()
+scratchSpoolDirTemplate()
 {
     // Respect TMPDIR like mktemp(1)/mkstemp(3) users do; /tmp is only
     // the fallback. Trailing slashes are trimmed so "$TMPDIR/" does
@@ -1076,47 +1133,31 @@ scratchCacheDirTemplate()
     std::string base = (tmpdir && *tmpdir) ? tmpdir : "/tmp";
     while (base.size() > 1 && base.back() == '/')
         base.pop_back();
-    return base + "/bwsim-cache-XXXXXX";
+    return base + "/bwsim-spool-XXXXXX";
 }
 
 const std::vector<Experiment> &
 experimentRegistry()
 {
     static const std::vector<Experiment> registry = {
-        {"tab1", "Table I: baseline architecture parameters",
-         "bench_tab01_config_dump", runTab1},
-        {"fig1", "Fig. 1: issue stalls and memory latencies",
-         "bench_fig01_stalls_latency", runFig1},
-        {"tab2", "Table II: P-inf / P-DRAM speedup bounds",
-         "bench_tab02_speedup_bounds", runTab2},
-        {"fig3", "Fig. 3: IPC vs. fixed L1 miss latency",
-         "bench_fig03_latency_sweep", runFig3},
-        {"fig4", "Fig. 4: L2 access queue occupancy",
-         "bench_fig04_l2q_occupancy", runFig4},
-        {"fig5", "Fig. 5: DRAM access queue occupancy",
-         "bench_fig05_dramq_occupancy", runFig5},
-        {"sec4", "Sec. IV-B1: DRAM bandwidth efficiency",
-         "bench_sec4_dram_efficiency", runSec4},
-        {"fig7", "Fig. 7: issue-stall distribution",
-         "bench_fig07_issue_stalls", runFig7},
-        {"fig8", "Fig. 8: L2 stall distribution",
-         "bench_fig08_l2_stalls", runFig8},
-        {"fig9", "Fig. 9: L1 stall distribution",
-         "bench_fig09_l1_stalls", runFig9},
+        {"tab1", "Table I: baseline architecture parameters", runTab1},
+        {"fig1", "Fig. 1: issue stalls and memory latencies", runFig1},
+        {"tab2", "Table II: P-inf / P-DRAM speedup bounds", runTab2},
+        {"fig3", "Fig. 3: IPC vs. fixed L1 miss latency", runFig3},
+        {"fig4", "Fig. 4: L2 access queue occupancy", runFig4},
+        {"fig5", "Fig. 5: DRAM access queue occupancy", runFig5},
+        {"sec4", "Sec. IV-B1: DRAM bandwidth efficiency", runSec4},
+        {"fig7", "Fig. 7: issue-stall distribution", runFig7},
+        {"fig8", "Fig. 8: L2 stall distribution", runFig8},
+        {"fig9", "Fig. 9: L1 stall distribution", runFig9},
         {"sec6", "Sec. VI: hierarchy mitigations (bandwidth + speedup)",
-         "bench_sec6_mitigations", runSec6},
-        {"tab3", "Table III: consolidated design space",
-         "bench_tab03_design_space", runTab3},
-        {"fig10", "Fig. 10: 4x bandwidth scaling",
-         "bench_fig10_dse_scaling", runFig10},
-        {"fig11", "Fig. 11: core-frequency sweep",
-         "bench_fig11_freq_sweep", runFig11},
-        {"fig12", "Fig. 12: cost-effective configurations",
-         "bench_fig12_cost_effective", runFig12},
-        {"sec7", "Sec. VII: area overhead of cost-effective configs",
-         "bench_sec7_area_overhead", runSec7},
-        {"ablation", "Each Table III knob alone at 4x",
-         "bench_ablation_knobs", runAblation},
+         runSec6},
+        {"tab3", "Table III: consolidated design space", runTab3},
+        {"fig10", "Fig. 10: 4x bandwidth scaling", runFig10},
+        {"fig11", "Fig. 11: core-frequency sweep", runFig11},
+        {"fig12", "Fig. 12: cost-effective configurations", runFig12},
+        {"sec7", "Sec. VII: area overhead of cost-effective configs", runSec7},
+        {"ablation", "Each Table III knob alone at 4x", runAblation},
     };
     return registry;
 }
@@ -1143,13 +1184,6 @@ runExperiment(const std::string &name, const exp::ExperimentOptions &opts,
     exp::configureExecution(opts);
     e->run(opts, out);
     return 0;
-}
-
-int
-runExperimentFromEnv(const std::string &name)
-{
-    return runExperiment(name, exp::ExperimentOptions::fromEnv(),
-                         std::cout, std::cerr);
 }
 
 int
@@ -1232,14 +1266,6 @@ cliMain(int argc, const char *const *argv, std::ostream &out,
         } else if (a.rfind("--jobs=", 0) == 0) {
             if (!parseIntFlag("--jobs", valueOf("--jobs="), opts.jobs))
                 return 1;
-        } else if (a.rfind("--shards=", 0) == 0) {
-            if (!parseIntFlag("--shards", valueOf("--shards="),
-                              opts.shards))
-                return 1;
-        } else if (a.rfind("--shard-id=", 0) == 0) {
-            if (!parseIntFlag("--shard-id", valueOf("--shard-id="),
-                              opts.shardId))
-                return 1;
         } else if (a.rfind("--backend=", 0) == 0) {
             opts.backend = valueOf("--backend=");
             backend_flag = true;
@@ -1291,60 +1317,29 @@ cliMain(int argc, const char *const *argv, std::ostream &out,
         }
     }
 
-    if (opts.shards < 1) {
-        err << "bwsim: --shards must be >= 1\n";
-        return 1;
-    }
-    if (opts.shardId < 0 || opts.shardId >= opts.shards) {
-        err << "bwsim: --shard-id must be in [0, --shards)\n";
-        return 1;
-    }
     if (opts.jobs < 1) {
         err << "bwsim: --jobs must be >= 1\n";
         return 1;
     }
-    if (opts.jobs > 1 && opts.shards > 1) {
-        err << "bwsim: --jobs (parent fan-out) and --shards/--shard-id "
-               "(worker identity) are mutually exclusive\n";
-        return 1;
-    }
-    if (opts.shards > 1 && opts.cacheDir.empty()) {
-        err << "bwsim: --shards requires --cache-dir (workers publish "
-               "their results there)\n";
-        return 1;
-    }
-    if (opts.backend != "threads" && opts.backend != "jobs" &&
-        opts.backend != "queue") {
-        err << "bwsim: --backend expects threads, jobs or queue, got '"
+    if (opts.backend != "threads" && opts.backend != "queue") {
+        err << "bwsim: --backend expects threads or queue, got '"
             << opts.backend << "'\n";
         return 1;
     }
-    if (opts.backend == "queue") {
-        if (opts.spoolDir.empty()) {
-            err << "bwsim: --backend=queue requires --spool-dir\n";
-            return 1;
-        }
-        if (opts.jobs > 1 || opts.shards > 1) {
-            err << "bwsim: --backend=queue is incompatible with "
-                   "--jobs/--shards (workers come from bwsim "
-                   "--worker)\n";
-            return 1;
-        }
-    }
-    if (opts.backend == "jobs" && opts.jobs < 2) {
-        err << "bwsim: --backend=jobs requires --jobs=N with N >= 2\n";
+    if (opts.backend == "queue" && opts.spoolDir.empty()) {
+        err << "bwsim: --backend=queue requires --spool-dir\n";
         return 1;
     }
     if (backend_flag && opts.backend == "threads" && opts.jobs > 1) {
-        err << "bwsim: --backend=threads contradicts --jobs=N (the "
-               "fork fan-out is --backend=jobs)\n";
+        err << "bwsim: --backend=threads contradicts --jobs=N (--jobs "
+               "runs local work-queue workers)\n";
         return 1;
     }
     if (opts.jobTimeoutSec < 1) {
         err << "bwsim: --job-timeout must be >= 1\n";
         return 1;
     }
-    if (opts.backend == "queue" &&
+    if ((opts.backend == "queue" || opts.jobs > 1) &&
         opts.jobTimeoutSec < 2 * kDefaultClaimHeartbeatSec) {
         // Workers refresh their claim every kDefaultClaimHeartbeatSec;
         // a timeout inside that window reclaims live jobs.
@@ -1380,10 +1375,9 @@ cliMain(int argc, const char *const *argv, std::ostream &out,
                    "not tables; --format does not apply\n";
             return 1;
         }
-        if (opts.jobs > 1 || opts.shards > 1 ||
-            (backend_flag && opts.backend != "threads")) {
+        if (opts.jobs > 1 || (backend_flag && opts.backend != "threads")) {
             err << "bwsim: --dump-stats simulates in-process; "
-                   "--jobs/--shards/--backend do not apply\n";
+                   "--jobs/--backend do not apply\n";
             return 1;
         }
         int dump_rc = runDumpStats(opts, config_name, out, err);
@@ -1433,44 +1427,7 @@ cliMain(int argc, const char *const *argv, std::ostream &out,
             return 1;
         }
 
-    int rc = 0;
-    if (names.empty()) {
-        // Housekeeping-only invocation (--cache-stats / --cache-max-mb
-        // with no experiments); handled below.
-    } else if (opts.jobs > 1) {
-#ifdef __unix__
-        rc = runJobs(names, opts, out, err);
-#else
-        err << "bwsim: --jobs is only supported on unix hosts\n";
-        return 1;
-#endif
-    } else if (opts.shards > 1) {
-        // Worker mode: simulate this shard's share into the shared
-        // cache directory; tables come from the merge pass.
-        std::ostringstream sink;
-        for (const auto &n : names) {
-            rc = runExperiment(n, opts, sink, err);
-            if (rc)
-                return rc;
-        }
-        // Diagnostics go to stderr like every other bwsim message;
-        // worker stdout stays empty (tables come from the merge pass).
-        const SimCache &cache = SimCache::global();
-        err << csprintf(
-            "bwsim: shard %d/%d: sims=%llu disk-hits=%llu "
-            "skipped=%llu\n",
-            opts.shardId, opts.shards,
-            static_cast<unsigned long long>(cache.simsRun()),
-            static_cast<unsigned long long>(cache.diskHits()),
-            static_cast<unsigned long long>(cache.skipped()));
-    } else {
-        for (std::size_t i = 0; i < names.size() && rc == 0; ++i) {
-            if (i > 0)
-                out << "\n";
-            rc = runExperiment(names[i], opts, out, err);
-        }
-    }
-
+    const int rc = names.empty() ? 0 : runExperiments(names, opts, out, err);
     if (rc == 0 && cache_stats)
         printCacheStats(opts.cacheDir, out);
     if (rc == 0 && cache_max_mb >= 0) {

@@ -15,13 +15,11 @@
  * Running several experiments in one invocation shares simulations
  * through the SimCache, so the baseline runs feeding figs. 1/4/5/7/8/9
  * happen once, not once per figure. With --cache-dir they are also
- * shared across invocations (persistent on-disk tier) and across the
- * worker processes of a sharded sweep: --jobs=N forks N workers
- * (--shards=N --shard-id=i each) over the shared directory and then
- * prints merged tables byte-identical to a single-process run. The
- * legacy bench_* binaries are one-line wrappers over
- * runExperimentFromEnv() and print byte-for-byte the same report as
- * `bwsim <name>`.
+ * shared across invocations (persistent on-disk tier). Every
+ * multi-process sweep goes through the work queue: --jobs=N forks N
+ * local queue workers, --backend=queue uses external bwsim --worker
+ * processes (plus any --jobs ones), and either way the tables are
+ * byte-identical to a single-process run.
  */
 
 #ifndef BWSIM_CLI_CLI_HH
@@ -40,9 +38,8 @@ namespace bwsim::cli
 /** One runnable experiment: a figure, table or study of the paper. */
 struct Experiment
 {
-    std::string name;   ///< registry key, e.g. "fig7"
-    std::string title;  ///< one-line description for --list
-    std::string legacy; ///< the bench_* binary this replaces
+    std::string name;  ///< registry key, e.g. "fig7"
+    std::string title; ///< one-line description for --list
     std::function<void(const exp::ExperimentOptions &, std::ostream &)>
         run;
 };
@@ -62,17 +59,11 @@ int runExperiment(const std::string &name,
                   std::ostream &err);
 
 /**
- * Legacy bench_* entry point: options from BWSIM_* env vars, output
- * to stdout.
+ * mkdtemp(3) template for the scratch spool a --jobs run creates when
+ * no --spool-dir is given: "$TMPDIR/bwsim-spool-XXXXXX", falling back
+ * to /tmp when TMPDIR is unset or empty.
  */
-int runExperimentFromEnv(const std::string &name);
-
-/**
- * mkdtemp(3) template for the scratch cache directory a --jobs run
- * creates when no --cache-dir is given: "$TMPDIR/bwsim-cache-XXXXXX",
- * falling back to /tmp when TMPDIR is unset or empty.
- */
-std::string scratchCacheDirTemplate();
+std::string scratchSpoolDirTemplate();
 
 /** Full argv-driven entry point behind main(). */
 int cliMain(int argc, const char *const *argv, std::ostream &out,

@@ -78,20 +78,23 @@ backendSlot()
 }
 
 /**
- * Run one config across all benchmarks through the process-wide
- * execution backend (by default a CachingBackend over the global
- * SimCache): figures sharing (profile, config) pairs -- above all the
- * baseline runs -- simulate them once per driver invocation, and once
- * per cache directory when a disk tier is attached.
+ * Run every (profile, config) pair through the process-wide execution
+ * backend (by default a CachingBackend over the global SimCache) in one
+ * batch, so a multi-process backend sees the whole experiment at once.
+ * Figures sharing pairs -- above all the baseline runs -- simulate
+ * them once per driver invocation, and once per cache directory when
+ * a disk tier is attached. The result of profile b on config c is at
+ * [c * profiles.size() + b].
  */
 std::vector<SimResult>
-runConfig(const std::vector<WorkloadSpec> &profiles, const GpuConfig &cfg,
-          int threads)
+runConfigs(const std::vector<WorkloadSpec> &profiles,
+           const std::vector<GpuConfig> &configs, int threads)
 {
     std::vector<RunSpec> specs;
-    specs.reserve(profiles.size());
-    for (const auto &p : profiles)
-        specs.push_back({p, cfg});
+    specs.reserve(configs.size() * profiles.size());
+    for (const auto &cfg : configs)
+        for (const auto &p : profiles)
+            specs.push_back({p, cfg});
     return executionBackend().runAll(specs, threads);
 }
 
@@ -110,8 +113,7 @@ anyNonSynthetic(const std::vector<WorkloadSpec> &specs)
 SeriesTable
 buildSpeedupTable(const std::vector<WorkloadSpec> &profiles,
                   const std::vector<std::string> &config_names,
-                  const std::vector<std::vector<double>> &speedups,
-                  const std::string &value_header)
+                  const std::vector<std::vector<double>> &speedups)
 {
     SeriesTable t;
     t.colNames = config_names;
@@ -154,8 +156,35 @@ buildSpeedupTable(const std::vector<WorkloadSpec> &profiles,
         t.table.addNum(v, 2);
     }
     t.value.push_back(avg_row);
-    (void)value_header;
     return t;
+}
+
+/**
+ * The shared "baseline + configs -> speedup columns" sweep: every
+ * selected benchmark on the baseline and on each of @p configs, in one
+ * backend batch, tabulated as speedups over the baseline. Columns are
+ * named @p names, or the config names when @p names is empty.
+ */
+SeriesTable
+speedupSweep(const ExperimentOptions &opts, std::vector<GpuConfig> configs,
+             std::vector<std::string> names = {})
+{
+    auto profiles = selectBenchmarks(opts);
+    if (names.empty())
+        for (const auto &cfg : configs)
+            names.push_back(cfg.name);
+    configs.insert(configs.begin(), GpuConfig::baseline());
+    const auto res = runConfigs(profiles, configs, opts.threads);
+
+    const std::size_t n = profiles.size();
+    std::vector<std::vector<double>> speedups;
+    for (std::size_t c = 1; c < configs.size(); ++c) {
+        std::vector<double> col;
+        for (std::size_t b = 0; b < n; ++b)
+            col.push_back(res[c * n + b].speedupOver(res[b]));
+        speedups.push_back(std::move(col));
+    }
+    return buildSpeedupTable(profiles, names, speedups);
 }
 
 /** Rows = benchmarks (+AVG); cell extractor per result. */
@@ -256,7 +285,6 @@ configureExecution(const ExperimentOptions &opts)
 {
     SimCache &cache = SimCache::global();
     cache.attachDiskTier(opts.cacheDir);
-    cache.setShardPolicy({opts.shards, opts.shardId});
     if (opts.backend == "queue" && !opts.spoolDir.empty()) {
         // Cache misses become spool job files drained by external
         // bwsim --worker processes; everything above the SimCache is
@@ -323,8 +351,8 @@ selectBenchmarks(const ExperimentOptions &opts)
 std::vector<SimResult>
 baselineResults(const ExperimentOptions &opts)
 {
-    return runConfig(selectBenchmarks(opts), GpuConfig::baseline(),
-                     opts.threads);
+    return runConfigs(selectBenchmarks(opts), {GpuConfig::baseline()},
+                      opts.threads);
 }
 
 SeriesTable
@@ -440,18 +468,8 @@ sec4DramEfficiency(const std::vector<SimResult> &base)
 SeriesTable
 tab2SpeedupBounds(const ExperimentOptions &opts)
 {
-    auto profiles = selectBenchmarks(opts);
-    auto base = runConfig(profiles, GpuConfig::baseline(), opts.threads);
-    auto pinf = runConfig(profiles, GpuConfig::perfectMem(), opts.threads);
-    auto pdram = runConfig(profiles, GpuConfig::idealDram(), opts.threads);
-
-    std::vector<std::vector<double>> speedups(2);
-    for (std::size_t b = 0; b < profiles.size(); ++b) {
-        speedups[0].push_back(pinf[b].speedupOver(base[b]));
-        speedups[1].push_back(pdram[b].speedupOver(base[b]));
-    }
-    return buildSpeedupTable(profiles, {"P-inf", "P-DRAM"}, speedups,
-                             "speedup");
+    return speedupSweep(opts,
+                        {GpuConfig::perfectMem(), GpuConfig::idealDram()});
 }
 
 std::vector<std::uint32_t>
@@ -471,46 +489,22 @@ SeriesTable
 fig3LatencySweep(const ExperimentOptions &opts,
                  const std::vector<std::uint32_t> &latencies)
 {
-    auto profiles = selectBenchmarks(opts);
-    auto base = runConfig(profiles, GpuConfig::baseline(), opts.threads);
-
-    std::vector<std::string> config_names;
-    std::vector<std::vector<double>> speedups;
+    std::vector<GpuConfig> configs;
+    std::vector<std::string> names;
     for (std::uint32_t lat : latencies) {
-        auto res = runConfig(profiles, GpuConfig::fixedL1Lat(lat),
-                             opts.threads);
-        std::vector<double> col;
-        for (std::size_t b = 0; b < profiles.size(); ++b)
-            col.push_back(res[b].speedupOver(base[b]));
-        config_names.push_back(csprintf("%u", lat));
-        speedups.push_back(std::move(col));
+        configs.push_back(GpuConfig::fixedL1Lat(lat));
+        names.push_back(csprintf("%u", lat));
     }
-    return buildSpeedupTable(profiles, config_names, speedups,
-                             "ipc-normalized");
+    return speedupSweep(opts, std::move(configs), std::move(names));
 }
 
 SeriesTable
 fig10DseScaling(const ExperimentOptions &opts)
 {
-    auto profiles = selectBenchmarks(opts);
-    auto base = runConfig(profiles, GpuConfig::baseline(), opts.threads);
-
-    std::vector<GpuConfig> configs{
-        GpuConfig::scaledL1(),     GpuConfig::scaledL2(),
-        GpuConfig::scaledDram(),   GpuConfig::scaledL1L2(),
-        GpuConfig::scaledL2Dram(), GpuConfig::scaledAll()};
-
-    std::vector<std::string> names;
-    std::vector<std::vector<double>> speedups;
-    for (const auto &cfg : configs) {
-        auto res = runConfig(profiles, cfg, opts.threads);
-        std::vector<double> col;
-        for (std::size_t b = 0; b < profiles.size(); ++b)
-            col.push_back(res[b].speedupOver(base[b]));
-        names.push_back(cfg.name);
-        speedups.push_back(std::move(col));
-    }
-    return buildSpeedupTable(profiles, names, speedups, "speedup");
+    return speedupSweep(
+        opts, {GpuConfig::scaledL1(), GpuConfig::scaledL2(),
+               GpuConfig::scaledDram(), GpuConfig::scaledL1L2(),
+               GpuConfig::scaledL2Dram(), GpuConfig::scaledAll()});
 }
 
 std::vector<double>
@@ -529,46 +523,23 @@ SeriesTable
 fig11FrequencySweep(const ExperimentOptions &opts,
                     const std::vector<double> &freqs_ghz)
 {
-    auto profiles = selectBenchmarks(opts);
-    auto base = runConfig(profiles, GpuConfig::baseline(), opts.threads);
-
-    std::vector<std::string> names;
-    std::vector<std::vector<double>> speedups;
+    std::vector<GpuConfig> configs;
     for (double f : freqs_ghz) {
         GpuConfig cfg = GpuConfig::baseline();
         cfg.name = csprintf("%.1fGHz", f);
         cfg.coreClockMhz = f * 1000.0;
-        auto res = runConfig(profiles, cfg, opts.threads);
-        std::vector<double> col;
-        for (std::size_t b = 0; b < profiles.size(); ++b)
-            col.push_back(res[b].speedupOver(base[b]));
-        names.push_back(cfg.name);
-        speedups.push_back(std::move(col));
+        configs.push_back(std::move(cfg));
     }
-    return buildSpeedupTable(profiles, names, speedups, "perf-normalized");
+    return speedupSweep(opts, std::move(configs));
 }
 
 SeriesTable
 fig12CostEffective(const ExperimentOptions &opts)
 {
-    auto profiles = selectBenchmarks(opts);
-    auto base = runConfig(profiles, GpuConfig::baseline(), opts.threads);
-
-    std::vector<GpuConfig> configs{
-        GpuConfig::costEffective16_48(), GpuConfig::costEffective16_68(),
-        GpuConfig::costEffective32_52(), GpuConfig::hbm()};
-
-    std::vector<std::string> names;
-    std::vector<std::vector<double>> speedups;
-    for (const auto &cfg : configs) {
-        auto res = runConfig(profiles, cfg, opts.threads);
-        std::vector<double> col;
-        for (std::size_t b = 0; b < profiles.size(); ++b)
-            col.push_back(res[b].speedupOver(base[b]));
-        names.push_back(cfg.name);
-        speedups.push_back(std::move(col));
-    }
-    return buildSpeedupTable(profiles, names, speedups, "speedup");
+    return speedupSweep(opts, {GpuConfig::costEffective16_48(),
+                               GpuConfig::costEffective16_68(),
+                               GpuConfig::costEffective32_52(),
+                               GpuConfig::hbm()});
 }
 
 std::vector<GpuConfig>
@@ -603,10 +574,7 @@ sec6BandwidthUtilization(const ExperimentOptions &opts)
     }
     t.table = stats::TextTable(headers);
 
-    std::vector<std::vector<SimResult>> results;
-    results.reserve(configs.size());
-    for (const auto &cfg : configs)
-        results.push_back(runConfig(profiles, cfg, opts.threads));
+    const auto results = runConfigs(profiles, configs, opts.threads);
 
     std::vector<double> col_sums(t.colNames.size(), 0.0);
     for (std::size_t b = 0; b < profiles.size(); ++b) {
@@ -614,7 +582,7 @@ sec6BandwidthUtilization(const ExperimentOptions &opts)
         t.table.newRow().add(profiles[b].name());
         std::vector<double> row;
         for (std::size_t c = 0; c < configs.size(); ++c) {
-            const SimResult &r = results[c][b];
+            const SimResult &r = results[c * profiles.size() + b];
             for (double v : {r.l1IcntUtil, r.icntL2Util, r.l2DramUtil}) {
                 col_sums[row.size()] += v;
                 row.push_back(v);
@@ -640,21 +608,9 @@ sec6BandwidthUtilization(const ExperimentOptions &opts)
 SeriesTable
 sec6MitigationSpeedups(const ExperimentOptions &opts)
 {
-    auto profiles = selectBenchmarks(opts);
     auto configs = mitigationConfigs();
-    auto base = runConfig(profiles, configs.front(), opts.threads);
-
-    std::vector<std::string> names;
-    std::vector<std::vector<double>> speedups;
-    for (std::size_t c = 1; c < configs.size(); ++c) {
-        auto res = runConfig(profiles, configs[c], opts.threads);
-        std::vector<double> col;
-        for (std::size_t b = 0; b < profiles.size(); ++b)
-            col.push_back(res[b].speedupOver(base[b]));
-        names.push_back(configs[c].name);
-        speedups.push_back(std::move(col));
-    }
-    return buildSpeedupTable(profiles, names, speedups, "speedup");
+    configs.erase(configs.begin()); // the baseline speedupSweep adds
+    return speedupSweep(opts, std::move(configs));
 }
 
 stats::TextTable

@@ -2,8 +2,7 @@
  * @file
  * The experiment registry: one function per table/figure of the paper.
  * Each returns a SeriesTable -- a printable TextTable plus the raw
- * numeric grid -- so benchmark binaries print it and tests assert on
- * it. The per-experiment index lives in DESIGN.md §4.
+ * numeric grid -- so the bwsim CLI prints it and tests assert on it. The per-experiment index lives in DESIGN.md §4.
  */
 
 #ifndef BWSIM_CORE_EXPERIMENTS_HH
@@ -48,17 +47,13 @@ struct ExperimentOptions
     int shrink = 1;
     /** Persistent SimCache tier directory; empty = memory only. */
     std::string cacheDir;
-    /** Sharded-sweep worker identity: simulate only the keys hashing
-     *  to shardId of shards (shards == 1 disables filtering). */
-    int shards = 1;
-    int shardId = 0;
-    /** Parent fan-out: fork this many shard workers (CLI only). */
+    /** Local work-queue workers the CLI forks (1 = none). */
     int jobs = 1;
-    /** How cache misses execute: "threads" (in-process pool),
-     *  "jobs" (forked shard workers), or "queue" (spool-dir work
-     *  queue drained by external bwsim --worker processes). */
+    /** How cache misses execute: "threads" (in-process pool) or
+     *  "queue" (spool-dir work queue drained by bwsim --worker
+     *  processes). */
     std::string backend = "threads";
-    /** Work-queue spool directory (backend == "queue"). */
+    /** Work-queue spool directory (backend == "queue" or jobs > 1). */
     std::string spoolDir;
     /** Claimed-but-abandoned jobs are reclaimed after this long. */
     int jobTimeoutSec = 300;
@@ -115,9 +110,9 @@ void setExecutionBackend(std::unique_ptr<ExecutionBackend> backend);
 
 /**
  * Apply the execution-related knobs of @p opts to the process-wide
- * SimCache: attach/detach the on-disk tier (opts.cacheDir) and set
- * the shard policy (opts.shards / opts.shardId). Idempotent; called
- * by the CLI before running each batch of experiments.
+ * SimCache: attach/detach the on-disk tier (opts.cacheDir) and pick
+ * the simulation backend (opts.backend). Idempotent; called by the
+ * CLI before running each batch of experiments.
  */
 void configureExecution(const ExperimentOptions &opts);
 

@@ -1,5 +1,7 @@
 #include "core/sim_cache.hh"
 
+#include <string_view>
+
 namespace bwsim
 {
 
@@ -50,20 +52,6 @@ SimCache::diskTier() const
 }
 
 void
-SimCache::setShardPolicy(ShardPolicy policy)
-{
-    std::lock_guard<std::mutex> lock(mu);
-    shard = policy;
-}
-
-ShardPolicy
-SimCache::shardPolicy() const
-{
-    std::lock_guard<std::mutex> lock(mu);
-    return shard;
-}
-
-void
 SimCache::setSimulationBackend(std::shared_ptr<ExecutionBackend> backend)
 {
     std::lock_guard<std::mutex> lock(mu);
@@ -87,20 +75,20 @@ SimCache::runAll(const std::vector<RunSpec> &specs, int threads)
 
     // Resolve memory hits, claim the distinct missing keys, and note
     // keys a concurrent runAll() already claimed (we wait for those
-    // instead of re-simulating).
+    // instead of re-simulating). Everything below indexes into specs
+    // and keys rather than copying them: a whole experiment can be one
+    // batch.
     std::vector<std::string> keys(specs.size());
-    std::vector<std::size_t> pending; // spec indices resolved below
+    std::vector<std::size_t> claimed; // spec indices whose keys we claimed
+    std::vector<std::size_t> dups;    // later specs with a claimed key
     std::vector<std::size_t> waiting; // spec indices another call runs
-    std::unordered_map<std::string, std::size_t> first_miss;
-    std::vector<RunSpec> claimed;       // specs whose keys we claimed
-    std::vector<std::string> claim_keys; // their keys, same order
+    // Views into keys, whose strings stay put: the vector never grows.
+    std::unordered_map<std::string_view, std::size_t> first_miss;
     std::shared_ptr<DiskSimCache> disk_tier;
-    ShardPolicy shard_policy;
     std::shared_ptr<ExecutionBackend> backend;
     {
         std::lock_guard<std::mutex> lock(mu);
         disk_tier = disk;
-        shard_policy = shard;
         backend = simBackend;
         for (std::size_t i = 0; i < specs.size(); ++i) {
             keys[i] = keyOf(specs[i].workload, specs[i].config);
@@ -111,51 +99,31 @@ SimCache::runAll(const std::vector<RunSpec> &specs, int threads)
                 continue;
             }
             if (first_miss.count(keys[i])) {
-                pending.push_back(i);
+                dups.push_back(i);
                 continue;
             }
             if (inFlight.count(keys[i])) {
                 waiting.push_back(i);
                 continue;
             }
-            pending.push_back(i);
-            first_miss.emplace(keys[i], claimed.size());
+            first_miss.emplace(keys[i], i);
             inFlight.insert(keys[i]);
-            claimed.push_back(specs[i]);
-            claim_keys.push_back(keys[i]);
+            claimed.push_back(i);
         }
     }
 
     if (!claimed.empty()) {
         // Resolve our claimed misses outside the lock: disk tier
-        // first, then the shard filter, then the execution backend.
-        std::vector<SimResult> resolved(claimed.size());
-        std::vector<char> have(claimed.size(), 0);
-        std::vector<char> skip(claimed.size(), 0);
+        // first, then the execution backend.
         std::uint64_t disk_hits = 0, disk_stores = 0;
-
-        if (disk_tier) {
-            for (std::size_t r = 0; r < claimed.size(); ++r) {
-                if (disk_tier->load(claim_keys[r], resolved[r])) {
-                    have[r] = 1;
-                    ++disk_hits;
-                }
-            }
-        }
-        if (shard_policy.active()) {
-            // Keys owned by other workers stay unsimulated; the merge
-            // pass finds them in the shared cache directory.
-            for (std::size_t r = 0; r < claimed.size(); ++r)
-                if (!have[r] && !shard_policy.mine(claim_keys[r]))
-                    skip[r] = 1;
-        }
-
         std::vector<RunSpec> to_sim;
         std::vector<std::size_t> sim_idx;
-        for (std::size_t r = 0; r < claimed.size(); ++r) {
-            if (!have[r] && !skip[r]) {
-                to_sim.push_back(claimed[r]);
-                sim_idx.push_back(r);
+        for (std::size_t i : claimed) {
+            if (disk_tier && disk_tier->load(keys[i], out[i])) {
+                ++disk_hits;
+            } else {
+                to_sim.push_back(specs[i]);
+                sim_idx.push_back(i);
             }
         }
 
@@ -167,40 +135,28 @@ SimCache::runAll(const std::vector<RunSpec> &specs, int threads)
                 fresh = simulate(backend, to_sim, threads);
             } catch (...) {
                 std::lock_guard<std::mutex> lock(mu);
-                for (const auto &k : claim_keys)
-                    inFlight.erase(k);
+                for (std::size_t i : claimed)
+                    inFlight.erase(keys[i]);
                 cv.notify_all();
                 throw;
             }
             for (std::size_t j = 0; j < sim_idx.size(); ++j) {
-                resolved[sim_idx[j]] = fresh[j];
-                have[sim_idx[j]] = 1;
+                if (disk_tier && disk_tier->store(keys[sim_idx[j]], fresh[j]))
+                    ++disk_stores;
+                out[sim_idx[j]] = std::move(fresh[j]);
             }
-            if (disk_tier)
-                for (std::size_t j = 0; j < sim_idx.size(); ++j)
-                    if (disk_tier->store(claim_keys[sim_idx[j]], fresh[j]))
-                        ++disk_stores;
         }
 
         std::lock_guard<std::mutex> lock(mu);
-        for (std::size_t r = 0; r < claimed.size(); ++r) {
-            if (have[r]) {
-                results.emplace(claim_keys[r], resolved[r]);
-                skippedKeys.erase(claim_keys[r]);
-            } else {
-                skippedKeys.insert(claim_keys[r]);
-            }
-            inFlight.erase(claim_keys[r]);
+        for (std::size_t i : claimed) {
+            results.emplace(keys[i], out[i]);
+            inFlight.erase(keys[i]);
         }
         runCount += to_sim.size();
         diskHitCount += disk_hits;
         diskStoreCount += disk_stores;
-        for (std::size_t i : pending) {
-            std::size_t r = first_miss.at(keys[i]);
-            if (have[r])
-                out[i] = resolved[r];
-            // else: skipped by the shard filter, placeholder stays
-        }
+        for (std::size_t i : dups)
+            out[i] = out[first_miss.at(keys[i])];
         cv.notify_all();
     }
 
@@ -217,12 +173,8 @@ SimCache::runAll(const std::vector<RunSpec> &specs, int threads)
                 ++hitCount;
                 continue;
             }
-            // The producing call failed, skipped the key for another
-            // shard, or clear() dropped the result before we woke:
-            // resolve it ourselves. Shard-foreign keys stay skipped
-            // (the producer already counted them; see skipped()).
-            if (shard.active() && !shard.mine(keys[i]))
-                continue;
+            // The producing call failed, or clear() dropped the result
+            // before we woke: resolve it ourselves.
             inFlight.insert(keys[i]);
             lock.unlock();
             SimResult r;
@@ -249,7 +201,6 @@ SimCache::runAll(const std::vector<RunSpec> &specs, int threads)
             else
                 ++runCount;
             results.emplace(keys[i], r);
-            skippedKeys.erase(keys[i]);
             inFlight.erase(keys[i]);
             out[i] = r;
             cv.notify_all();
@@ -267,7 +218,6 @@ SimCache::clear()
     runCount = 0;
     diskHitCount = 0;
     diskStoreCount = 0;
-    skippedKeys.clear();
     // inFlight keys stay claimed by their active producers; wake
     // waiters so none sleeps through a result dropped before it woke.
     cv.notify_all();
@@ -299,13 +249,6 @@ SimCache::diskStores() const
 {
     std::lock_guard<std::mutex> lock(mu);
     return diskStoreCount;
-}
-
-std::uint64_t
-SimCache::skipped() const
-{
-    std::lock_guard<std::mutex> lock(mu);
-    return skippedKeys.size();
 }
 
 std::size_t

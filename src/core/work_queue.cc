@@ -400,9 +400,11 @@ WorkQueueBackend::runAll(const std::vector<RunSpec> &specs, int threads)
         if (queue.poll() > 0) {
             waited = 0.0;
         } else {
+            if (workersAlive && !workersAlive())
+                fatal("a --jobs worker failed while jobs were pending");
             sleepSeconds(cfg.pollIntervalSec);
             waited += cfg.pollIntervalSec;
-            if (!warned_idle && waited > 30.0) {
+            if (!workersAlive && !warned_idle && waited > 30.0) {
                 warned_idle = true;
                 warn("spool '%s': no replies for %.0fs; are any "
                      "`bwsim --worker --spool-dir=%s` processes "

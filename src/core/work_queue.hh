@@ -26,11 +26,11 @@
  * loaded as garbage.
  *
  * The parent side is WorkQueueBackend, an ExecutionBackend that the
- * CLI installs behind the global SimCache for --backend=queue: cache
- * misses become job files, and the collected replies merge into
- * tables byte-identical to a single-process --backend=threads run
- * (simulations are deterministic and SimResult serialization is
- * bit-exact).
+ * CLI installs behind the global SimCache for --backend=queue and
+ * --jobs (which forks its own local workers): cache misses become job
+ * files, and the collected replies merge into tables byte-identical to
+ * a single-process --backend=threads run (simulations are
+ * deterministic and SimResult serialization is bit-exact).
  */
 
 #ifndef BWSIM_CORE_WORK_QUEUE_HH
@@ -38,6 +38,7 @@
 
 #include <condition_variable>
 #include <cstdint>
+#include <functional>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -206,14 +207,18 @@ class WorkQueue
 
 /**
  * ExecutionBackend over a WorkQueue: runAll() dispatches every spec
- * and blocks polling until external workers have replied to all of
- * them. @p threads is ignored -- parallelism is however many workers
- * drain the spool.
+ * and blocks polling until workers have replied to all of them.
+ * @p threads is ignored -- parallelism is however many workers drain
+ * the spool. A caller that owns its workers (the CLI's --jobs) passes
+ * @p workers_alive: runAll() checks it on every idle poll pass and
+ * fatal()s once it returns false, instead of polling forever.
  */
 class WorkQueueBackend : public ExecutionBackend
 {
   public:
-    explicit WorkQueueBackend(WorkQueueConfig cfg) : cfg(std::move(cfg))
+    explicit WorkQueueBackend(WorkQueueConfig cfg,
+                              std::function<bool()> workers_alive = {})
+        : cfg(std::move(cfg)), workersAlive(std::move(workers_alive))
     {
     }
 
@@ -224,6 +229,7 @@ class WorkQueueBackend : public ExecutionBackend
 
   private:
     WorkQueueConfig cfg;
+    std::function<bool()> workersAlive;
 };
 
 /** @name Worker side (bwsim --worker --spool-dir=DIR) */

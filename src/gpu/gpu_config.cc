@@ -172,8 +172,6 @@ GpuConfig::validate() const
         fatal("config '%s': L2 size does not divide across %u banks",
               name.c_str(), totalL2Banks());
     }
-    if (mode == MemoryMode::FixedL1Lat && fixedL1MissLatency == 0)
-        warn("config '%s': zero fixed L1 miss latency", name.c_str());
     if (sectorBytes != 0 &&
         (!isPowerOf2(sectorBytes) || lineBytes % sectorBytes != 0)) {
         fatal("config '%s': sector size %u must be a power of two "

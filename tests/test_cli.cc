@@ -1,7 +1,7 @@
 /**
  * @file
  * bwsim CLI tests: registry completeness, --list, option parsing, and
- * parity between `bwsim <name>` and the legacy env-driven bench path.
+ * parity between single-process and --jobs runs.
  */
 
 #include <gtest/gtest.h>
@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "cli/cli.hh"
+#include "core/sim_cache.hh"
 #include "sim/tick_profile.hh"
 
 using namespace bwsim;
@@ -33,7 +34,7 @@ runCli(std::vector<const char *> args, std::string &out_s,
 
 } // namespace
 
-TEST(Cli, RegistryCoversEveryLegacyBench)
+TEST(Cli, RegistryCoversEveryExperiment)
 {
     const auto &reg = cli::experimentRegistry();
     // 17 experiments: figs 1/3/4/5/7/8/9/10/11/12, tables I-III,
@@ -41,7 +42,7 @@ TEST(Cli, RegistryCoversEveryLegacyBench)
     EXPECT_EQ(reg.size(), 17u);
     for (const auto &e : reg) {
         EXPECT_FALSE(e.name.empty());
-        EXPECT_FALSE(e.legacy.empty());
+        EXPECT_FALSE(e.title.empty());
         EXPECT_TRUE(bool(e.run)) << e.name;
         EXPECT_EQ(cli::findExperiment(e.name), &e);
     }
@@ -54,7 +55,7 @@ TEST(Cli, ListNamesEveryRegisteredExperiment)
     ASSERT_EQ(runCli({"--list"}, out, err), 0);
     for (const auto &e : cli::experimentRegistry()) {
         EXPECT_NE(out.find(e.name), std::string::npos) << e.name;
-        EXPECT_NE(out.find(e.legacy), std::string::npos) << e.legacy;
+        EXPECT_NE(out.find(e.title), std::string::npos) << e.title;
     }
     EXPECT_TRUE(err.empty());
 }
@@ -99,20 +100,6 @@ TEST(Cli, StaticTablesRunWithoutSimulation)
     EXPECT_NE(out.find("Table III"), std::string::npos);
     ASSERT_EQ(runCli({"sec7"}, out, err), 0);
     EXPECT_NE(out.find("area overhead"), std::string::npos);
-}
-
-TEST(Cli, FlagOutputMatchesLegacyEnvDrivenPath)
-{
-    // The legacy bench binaries call runExperiment() with env-derived
-    // options; for a static experiment both paths must print the same
-    // bytes.
-    std::ostringstream legacy, err;
-    ASSERT_EQ(cli::runExperiment("tab3", exp::ExperimentOptions{}, legacy,
-                                 err),
-              0);
-    std::string out, err_s;
-    ASSERT_EQ(runCli({"tab3"}, out, err_s), 0);
-    EXPECT_EQ(out, legacy.str());
 }
 
 TEST(Cli, MultipleExperimentsSeparatedByBlankLine)
@@ -295,33 +282,9 @@ TEST(Cli, UsageMentionsTheTickProfileFlag)
     EXPECT_NE(out.find("--profile-ticks"), std::string::npos);
 }
 
-TEST(Cli, ShardOptionsValidated)
+TEST(Cli, JobsOptionsValidated)
 {
     std::string out, err;
-    // --shards without a cache dir: the workers' results would be
-    // unreachable.
-    EXPECT_NE(runCli({"tab1", "--shards=2"}, out, err), 0);
-    EXPECT_NE(err.find("--cache-dir"), std::string::npos);
-
-    err.clear();
-    EXPECT_NE(runCli({"tab1", "--shards=0"}, out, err), 0);
-    EXPECT_NE(err.find("--shards"), std::string::npos);
-
-    err.clear();
-    EXPECT_NE(runCli({"tab1", "--shards=2", "--shard-id=2",
-                      "--cache-dir=/tmp/x"},
-                     out, err),
-              0);
-    EXPECT_NE(err.find("--shard-id"), std::string::npos);
-
-    err.clear();
-    EXPECT_NE(runCli({"tab1", "--jobs=2", "--shards=2",
-                      "--cache-dir=/tmp/x"},
-                     out, err),
-              0);
-    EXPECT_NE(err.find("mutually exclusive"), std::string::npos);
-
-    err.clear();
     EXPECT_NE(runCli({"tab1", "--jobs=0"}, out, err), 0);
     EXPECT_NE(err.find("--jobs"), std::string::npos);
 }
@@ -330,8 +293,8 @@ TEST(Cli, UsageMentionsTheExecutionFlags)
 {
     std::string out, err;
     ASSERT_EQ(runCli({"--help"}, out, err), 0);
-    for (const char *flag : {"--cache-dir", "--jobs", "--shards",
-                             "--shard-id", "--format", "--exec-stats"})
+    for (const char *flag :
+         {"--cache-dir", "--jobs", "--format", "--exec-stats"})
         EXPECT_NE(out.find(flag), std::string::npos) << flag;
 }
 
@@ -341,29 +304,38 @@ TEST(Cli, BackendOptionsValidated)
     EXPECT_NE(runCli({"tab1", "--backend=carrier-pigeon"}, out, err), 0);
     EXPECT_NE(err.find("--backend"), std::string::npos);
 
+    // The fork fan-out is --jobs=N, not a backend of its own: the
+    // retired "jobs" backend name is unknown.
+    const std::string jobs_backend = std::string("--backend=") + "jobs";
+    err.clear();
+    EXPECT_NE(runCli({"tab1", jobs_backend.c_str(), "--jobs=2"}, out, err),
+              0);
+    EXPECT_NE(err.find("--backend expects threads or queue"),
+              std::string::npos);
+
     // queue without a spool: nowhere to put the jobs.
     err.clear();
     EXPECT_NE(runCli({"tab1", "--backend=queue"}, out, err), 0);
     EXPECT_NE(err.find("--spool-dir"), std::string::npos);
-
-    // queue and the fork/shard modes are different scale-out paths.
-    err.clear();
-    EXPECT_NE(runCli({"tab1", "--backend=queue", "--spool-dir=/tmp/s",
-                      "--jobs=2"},
-                     out, err),
-              0);
-    EXPECT_NE(err.find("incompatible"), std::string::npos);
-
-    // jobs backend without a fan-out count is meaningless.
-    err.clear();
-    EXPECT_NE(runCli({"tab1", "--backend=jobs"}, out, err), 0);
-    EXPECT_NE(err.find("--jobs"), std::string::npos);
 
     err.clear();
     EXPECT_NE(runCli({"tab1", "--backend=threads", "--jobs=2"}, out,
                      err),
               0);
     EXPECT_NE(err.find("contradicts"), std::string::npos);
+
+    // Local --jobs workers join the given spool next to external ones.
+    const std::string spool = ::testing::TempDir() + "bwsim-cli-q-jobs";
+    const std::string spool_flag = "--spool-dir=" + spool;
+    std::filesystem::remove_all(spool);
+    err.clear();
+    EXPECT_EQ(runCli({"tab1", "--backend=queue", spool_flag.c_str(),
+                      "--jobs=2"},
+                     out, err),
+              0)
+        << err;
+    EXPECT_NE(out.find("Table I"), std::string::npos);
+    std::filesystem::remove_all(spool);
 
     err.clear();
     EXPECT_NE(runCli({"tab1", "--job-timeout=0"}, out, err), 0);
@@ -424,26 +396,26 @@ TEST(Cli, UsageMentionsTheQueueFlags)
 }
 
 #ifdef __unix__
-TEST(Cli, ScratchCacheDirTemplateHonorsTmpdir)
+TEST(Cli, ScratchSpoolDirTemplateHonorsTmpdir)
 {
     // Save and restore whatever the harness environment set.
     const char *saved = std::getenv("TMPDIR");
     const std::string saved_val = saved ? saved : "";
 
     ::setenv("TMPDIR", "/some/scratch", 1);
-    EXPECT_EQ(cli::scratchCacheDirTemplate(),
-              "/some/scratch/bwsim-cache-XXXXXX");
+    EXPECT_EQ(cli::scratchSpoolDirTemplate(),
+              "/some/scratch/bwsim-spool-XXXXXX");
 
     // Trailing slashes must not double the separator.
     ::setenv("TMPDIR", "/some/scratch///", 1);
-    EXPECT_EQ(cli::scratchCacheDirTemplate(),
-              "/some/scratch/bwsim-cache-XXXXXX");
+    EXPECT_EQ(cli::scratchSpoolDirTemplate(),
+              "/some/scratch/bwsim-spool-XXXXXX");
 
     // Unset or empty falls back to /tmp like mktemp(1).
     ::unsetenv("TMPDIR");
-    EXPECT_EQ(cli::scratchCacheDirTemplate(), "/tmp/bwsim-cache-XXXXXX");
+    EXPECT_EQ(cli::scratchSpoolDirTemplate(), "/tmp/bwsim-spool-XXXXXX");
     ::setenv("TMPDIR", "", 1);
-    EXPECT_EQ(cli::scratchCacheDirTemplate(), "/tmp/bwsim-cache-XXXXXX");
+    EXPECT_EQ(cli::scratchSpoolDirTemplate(), "/tmp/bwsim-spool-XXXXXX");
 
     // The template actually works: mkdtemp() materializes the scratch
     // dir inside the TMPDIR the user asked for.
@@ -451,8 +423,8 @@ TEST(Cli, ScratchCacheDirTemplateHonorsTmpdir)
     std::filesystem::remove_all(base);
     std::filesystem::create_directories(base);
     ::setenv("TMPDIR", base.c_str(), 1);
-    std::string tmpl_str = cli::scratchCacheDirTemplate();
-    ASSERT_EQ(tmpl_str.rfind(base + "/bwsim-cache-", 0), 0u);
+    std::string tmpl_str = cli::scratchSpoolDirTemplate();
+    ASSERT_EQ(tmpl_str.rfind(base + "/bwsim-spool-", 0), 0u);
     std::vector<char> tmpl(tmpl_str.begin(), tmpl_str.end());
     tmpl.push_back('\0');
     ASSERT_NE(::mkdtemp(tmpl.data()), nullptr);
@@ -463,5 +435,64 @@ TEST(Cli, ScratchCacheDirTemplateHonorsTmpdir)
         ::setenv("TMPDIR", saved_val.c_str(), 1);
     else
         ::unsetenv("TMPDIR");
+}
+
+TEST(Cli, JobsMatchesTheSingleProcessRun)
+{
+    // --jobs=2 forks two in-process work-queue workers (no re-exec),
+    // so it runs inside this test binary.
+    namespace fs = std::filesystem;
+    const std::string root = ::testing::TempDir() + "bwsim-cli-jobs";
+    fs::remove_all(root);
+    fs::create_directories(root + "/tmp");
+    const std::string cache = "--cache-dir=" + root + "/cache";
+    const std::string spool = root + "/spool";
+    const std::string spool_flag = "--spool-dir=" + spool;
+    const char *saved = std::getenv("TMPDIR");
+    const std::string saved_val = saved ? saved : "";
+    auto fig4 = [](std::vector<const char *> extra, std::string &out,
+                   std::string &err) {
+        std::vector<const char *> args{"fig4", "--benches=bfs,lbm",
+                                       "--shrink=16", "--threads=2"};
+        args.insert(args.end(), extra.begin(), extra.end());
+        // A cold memory tier each time, like a fresh process.
+        SimCache::global().clear();
+        return runCli(args, out, err);
+    };
+
+    std::string single, err;
+    ASSERT_EQ(fig4({}, single, err), 0) << err;
+
+    // Cold: both sims go through a scratch spool under $TMPDIR, which
+    // must be gone afterwards.
+    ::setenv("TMPDIR", (root + "/tmp").c_str(), 1);
+    std::string cold;
+    const int cold_rc =
+        fig4({"--jobs=2", cache.c_str(), "--exec-stats"}, cold, err);
+    if (saved)
+        ::setenv("TMPDIR", saved_val.c_str(), 1);
+    else
+        ::unsetenv("TMPDIR");
+    ASSERT_EQ(cold_rc, 0) << err;
+    EXPECT_EQ(cold, single);
+    EXPECT_NE(err.find("sims=2 "), std::string::npos) << err;
+    EXPECT_TRUE(fs::is_empty(root + "/tmp")) << "leaked scratch spool";
+
+    // Warm, through a user-given spool: nothing is simulated, and the
+    // spool is the user's to keep.
+    std::string warm;
+    ASSERT_EQ(fig4({"--jobs=2", cache.c_str(), spool_flag.c_str(),
+                    "--exec-stats"},
+                   warm, err),
+              0)
+        << err;
+    EXPECT_EQ(warm, single);
+    EXPECT_NE(err.find("sims=0 "), std::string::npos) << err;
+    EXPECT_TRUE(fs::is_directory(spool));
+    EXPECT_FALSE(fs::exists(spool + "/stop"));
+
+    SimCache::global().clear();
+    exp::configureExecution(exp::ExperimentOptions{});
+    fs::remove_all(root);
 }
 #endif // __unix__

@@ -8,7 +8,6 @@
 
 #include <gtest/gtest.h>
 
-#include <filesystem>
 #include <memory>
 #include <sstream>
 #include <thread>
@@ -234,34 +233,6 @@ TEST(SimCache, GpuConfigHashKeysUnorderedContainers)
     EXPECT_EQ(seen.at(GpuConfig::scaledL2()), 2);
 }
 
-TEST(ShardPolicy, PartitionsTheKeySpaceExactly)
-{
-    // Every key has exactly one owner, and with enough keys every
-    // shard owns some.
-    ShardPolicy shards[4] = {{4, 0}, {4, 1}, {4, 2}, {4, 3}};
-    int owned_total = 0;
-    int owned_per_shard[4] = {0, 0, 0, 0};
-    for (int k = 0; k < 256; ++k) {
-        std::string key = "key-" + std::to_string(k);
-        int owners = 0;
-        for (int s = 0; s < 4; ++s) {
-            if (shards[s].mine(key)) {
-                ++owners;
-                ++owned_per_shard[s];
-            }
-        }
-        EXPECT_EQ(owners, 1) << key;
-        owned_total += owners;
-    }
-    EXPECT_EQ(owned_total, 256);
-    for (int s = 0; s < 4; ++s)
-        EXPECT_GT(owned_per_shard[s], 0) << "shard " << s << " idle";
-    // The degenerate single-shard policy owns everything.
-    ShardPolicy solo;
-    EXPECT_FALSE(solo.active());
-    EXPECT_TRUE(solo.mine("anything"));
-}
-
 namespace
 {
 
@@ -306,98 +277,4 @@ TEST(SimCache, SimulationBackendIsPluggable)
     cache.clear();
     cache.run(p, cfg);
     EXPECT_EQ(counting->calls, 1u);
-}
-
-TEST(SimCache, ShardFilterSkipsForeignKeysAndMergesFromDisk)
-{
-    namespace fs = std::filesystem;
-    std::string dir = ::testing::TempDir() + "bwsim-shard-filter";
-    fs::remove_all(dir);
-
-    GpuConfig cfg = quickConfig();
-    std::vector<RunSpec> specs{{makeTestProfile("tiny-compute"), cfg},
-                               {makeTestProfile("tiny-stream"), cfg},
-                               {makeTestProfile("tiny-l2"), cfg},
-                               {makeTestProfile("tiny-mixed"), cfg}};
-
-    // Worker passes: each SimCache models one worker process; the
-    // shared directory is the only cross-worker state.
-    std::uint64_t total_sims = 0;
-    for (int id = 0; id < 3; ++id) {
-        SimCache worker;
-        worker.attachDiskTier(dir);
-        worker.setShardPolicy({3, id});
-        auto partial = worker.runAll(specs, 1);
-        ASSERT_EQ(partial.size(), specs.size());
-        total_sims += worker.simsRun();
-        EXPECT_EQ(worker.simsRun() + worker.diskHits() +
-                      worker.skipped(),
-                  specs.size());
-    }
-    // Across all workers every unique pair simulated exactly once.
-    EXPECT_EQ(total_sims, specs.size());
-
-    // Merge pass: no shard filter, everything loads from disk.
-    SimCache merge;
-    merge.attachDiskTier(dir);
-    auto merged = merge.runAll(specs, 1);
-    EXPECT_EQ(merge.simsRun(), 0u);
-    EXPECT_EQ(merge.diskHits(), specs.size());
-    for (std::size_t i = 0; i < specs.size(); ++i)
-        EXPECT_EQ(merged[i].benchmark, specs[i].workload.name());
-    fs::remove_all(dir);
-}
-
-TEST(SimCache, ShardedDriverRunsMergeByteIdentical)
-{
-    // The acceptance criterion end-to-end: four shard workers over
-    // ids 0..3 sharing one cache directory, then a merge pass, must
-    // print byte-identical tables to a plain single-process run --
-    // with zero simulations in the merge.
-    namespace fs = std::filesystem;
-    std::string dir = ::testing::TempDir() + "bwsim-shard-merge";
-    fs::remove_all(dir);
-
-    exp::ExperimentOptions opts;
-    opts.benchmarks = {"bfs", "lbm"};
-    opts.threads = 1;
-    opts.shrink = 8;
-
-    SimCache &cache = SimCache::global();
-    cache.clear();
-
-    // Reference: plain run, memory tier only.
-    std::ostringstream ref, err;
-    ASSERT_EQ(cli::runExperiment("fig4", opts, ref, err), 0);
-    std::uint64_t ref_sims = cache.simsRun();
-    ASSERT_GT(ref_sims, 0u);
-
-    // Worker passes (clear() models each worker's cold memory tier).
-    opts.cacheDir = dir;
-    opts.shards = 4;
-    std::uint64_t total_worker_sims = 0;
-    for (int id = 0; id < 4; ++id) {
-        cache.clear();
-        opts.shardId = id;
-        std::ostringstream sink;
-        ASSERT_EQ(cli::runExperiment("fig4", opts, sink, err), 0);
-        total_worker_sims += cache.simsRun();
-    }
-    EXPECT_EQ(total_worker_sims, ref_sims)
-        << "sharded sweep simulated a pair twice (or missed one)";
-
-    // Merge pass over the warm directory.
-    cache.clear();
-    opts.shards = 1;
-    opts.shardId = 0;
-    std::ostringstream merged;
-    ASSERT_EQ(cli::runExperiment("fig4", opts, merged, err), 0);
-    EXPECT_EQ(cache.simsRun(), 0u) << "merge pass re-simulated";
-    EXPECT_EQ(merged.str(), ref.str());
-
-    // Leave no cross-test state behind.
-    opts.cacheDir.clear();
-    exp::configureExecution(opts);
-    cache.clear();
-    fs::remove_all(dir);
 }

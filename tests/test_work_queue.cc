@@ -482,3 +482,15 @@ TEST(WorkQueueBackend, RunAllThroughSimCacheGlobalShape)
     // here, jobs executed remotely on the worker's behalf.
     EXPECT_EQ(parent.simsRun(), 3u);
 }
+
+TEST(WorkQueueBackendDeathTest, DeadWorkersFailInsteadOfPollingForever)
+{
+    // The --jobs parent owns its workers: once the liveness hook says
+    // they are gone, pending jobs can never complete, so runAll() must
+    // exit with a one-line error rather than poll forever.
+    const std::string spool = freshSpool("dead-workers");
+    WorkQueueBackend backend(quickQueueConfig(spool), [] { return false; });
+    EXPECT_EXIT(backend.runAll(quickSpecs(), 1),
+                ::testing::ExitedWithCode(1),
+                "^fatal: a --jobs worker failed[^\n]*\n$");
+}
