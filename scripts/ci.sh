@@ -207,7 +207,8 @@ smoke() {
     echo "smoke: --profile-ticks tick-cost telemetry"
     # The profiler must report per-domain tick costs plus the fused-
     # span epilogue on stderr, and register the tick_profile stats
-    # group -- and the congested bfs run must actually fuse spans.
+    # group -- and the congested bfs run must actually fuse spans and
+    # put SMs to sleep.
     ./build/bwsim --dump-stats --benches=bfs --shrink=16 \
         --profile-ticks --exec-stats \
         > "$smoke_tmp/prof.out" 2> "$smoke_tmp/prof.err"
@@ -225,6 +226,19 @@ smoke() {
     }
     if grep -q 'fused-spans=0 ' "$smoke_tmp/prof.err"; then
         echo "smoke FAIL: congested bfs run fused zero spans" >&2
+        cat "$smoke_tmp/prof.err" >&2
+        exit 1
+    fi
+    # Per-SM sleep is byte-identical by construction, so no table can
+    # notice if it silently stops engaging: the same run must report
+    # SM ticks replaced by bulk charges.
+    grep -q 'sm-slept=' "$smoke_tmp/prof.err" || {
+        echo "smoke FAIL: --exec-stats printed no sm-slept field:" >&2
+        cat "$smoke_tmp/prof.err" >&2
+        exit 1
+    }
+    if grep -Eq 'sm-slept=0( |$)' "$smoke_tmp/prof.err"; then
+        echo "smoke FAIL: congested bfs run slept zero SM ticks" >&2
         cat "$smoke_tmp/prof.err" >&2
         exit 1
     fi

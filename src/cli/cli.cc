@@ -539,7 +539,7 @@ printExecStats(std::ostream &err)
         "bwsim: sim speed: scheduler=%s runs=%llu "
         "core-cycles=%llu wall=%.3fs cycles/sec=%.4g "
         "ticked-edges=%llu skipped-edges=%llu "
-        "fused-spans=%llu fused-cycles=%llu\n",
+        "fused-spans=%llu fused-cycles=%llu sm-slept=%llu\n",
         schedulerModeName(schedulerMode()),
         static_cast<unsigned long long>(speed.runs),
         static_cast<unsigned long long>(speed.coreCycles),
@@ -547,7 +547,8 @@ printExecStats(std::ostream &err)
         static_cast<unsigned long long>(speed.tickedEdges),
         static_cast<unsigned long long>(speed.skippedEdges),
         static_cast<unsigned long long>(speed.fusedSpans),
-        static_cast<unsigned long long>(speed.fusedCycles));
+        static_cast<unsigned long long>(speed.fusedCycles),
+        static_cast<unsigned long long>(speed.sleptCoreCycles));
     if (tickProfileEnabled()) {
         for (const auto &d : tickProfileTotals()) {
             err << csprintf(
@@ -639,6 +640,7 @@ struct PerfCase
     std::uint64_t skippedEdges = 0;
     std::uint64_t fusedSpans = 0;
     std::uint64_t fusedCycles = 0;
+    std::uint64_t sleptCoreCycles = 0;
 
     /**
      * Median of the paired per-rep ratios: machine-speed drift that
@@ -681,6 +683,8 @@ timeOneRun(PerfCase &pc, SchedulerMode mode)
         pc.skippedEdges = after.skippedEdges - before.skippedEdges;
         pc.fusedSpans = after.fusedSpans - before.fusedSpans;
         pc.fusedCycles = after.fusedCycles - before.fusedCycles;
+        pc.sleptCoreCycles =
+            after.sleptCoreCycles - before.sleptCoreCycles;
     }
     return std::chrono::duration<double>(t1 - t0).count();
 }
@@ -836,8 +840,8 @@ runPerf(const std::string &out_path, std::ostream &out, std::ostream &err)
             "\"lockstep\": {\"wall_sec\": %.6f, \"cycles_per_sec\": "
             "%.1f}, \"skip\": {\"wall_sec\": %.6f, \"cycles_per_sec\": "
             "%.1f, \"ticked_edges\": %llu, \"skipped_edges\": %llu, "
-            "\"fused_spans\": %llu, \"fused_cycles\": %llu}, "
-            "\"speedup\": %.3f}%s\n",
+            "\"fused_spans\": %llu, \"fused_cycles\": %llu, "
+            "\"sm_slept\": %llu}, \"speedup\": %.3f}%s\n",
             jsonEscape(pc.label).c_str(),
             workloadKeyTag(pc.profile).c_str(),
             static_cast<unsigned long long>(pc.coreCycles),
@@ -847,6 +851,7 @@ runPerf(const std::string &out_path, std::ostream &out, std::ostream &err)
             static_cast<unsigned long long>(pc.skippedEdges),
             static_cast<unsigned long long>(pc.fusedSpans),
             static_cast<unsigned long long>(pc.fusedCycles),
+            static_cast<unsigned long long>(pc.sleptCoreCycles),
             pc.speedup(), i + 1 < cases.size() ? "," : "");
     }
     f << "  ],\n";

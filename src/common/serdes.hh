@@ -104,6 +104,10 @@ class ByteReader
     {
     }
 
+    /** A reader only borrows its bytes: a temporary string would die
+     *  at the end of the declaring statement and leave it dangling. */
+    explicit ByteReader(std::string &&) = delete;
+
     std::uint8_t
     u8()
     {

@@ -159,18 +159,61 @@ Gpu::takeCta(int core_id)
 void
 Gpu::coreTick()
 {
-    ++coreCycleCount;
+    const std::uint64_t prev = coreCycleCount++;
     double now_ps = clocks.nowPs();
     for (int c = 0; c < cfg.numCores; ++c) {
-        memSys->deliverResponses(c, *cores[c], now_ps, coreCycleCount);
-        cores[c]->tick(now_ps);
-        memSys->acceptRequests(c, *cores[c], now_ps, coreCycleCount);
+        SmCore &core = *cores[c];
+        if (sleepEnabled) {
+            // Asleep, this cycle's deliver/tick/accept would be no-ops
+            // plus the counter charges skipCycles() reproduces -- the
+            // same three pins coreQuiesceHorizon() checks, taken at the
+            // point in the instant where they would act.
+            CoreSleep &s = coreSleep[c];
+            if (prev < s.wakeAt && memSys->coreHorizon(c, prev) != 0 &&
+                !(core.hasOutgoing() && !memSys->requestPortBlocked(c))) {
+                ++s.owed;
+                continue;
+            }
+            flushSleep(c);
+        }
+        memSys->deliverResponses(c, core, now_ps, coreCycleCount);
+        core.tick(now_ps);
+        memSys->acceptRequests(c, core, now_ps, coreCycleCount);
+        if (sleepEnabled) {
+            // A zero horizon leaves wakeAt at this cycle: awake.
+            const std::uint64_t h = core.quiesceHorizon();
+            coreSleep[c].wakeAt = h == kInfiniteHorizon
+                                      ? kInfiniteHorizon
+                                      : coreCycleCount + h;
+        }
     }
+}
+
+void
+Gpu::flushSleep(int c)
+{
+    CoreSleep &s = coreSleep[c];
+    if (s.owed == 0)
+        return;
+    cores[c]->skipCycles(s.owed);
+    sleptCycles += s.owed;
+    s.owed = 0;
+}
+
+void
+Gpu::flushSleep()
+{
+    if (!sleepEnabled)
+        return;
+    for (int c = 0; c < cfg.numCores; ++c)
+        flushSleep(c);
 }
 
 std::uint64_t
 Gpu::coreQuiesceHorizon()
 {
+    flushSleep();
+
     // Cheapest rejections first: a busy core (memoized inside SmCore)
     // or a pending outgoing miss pins the horizon before the
     // MemSystem's reply-readiness scan is consulted. The scan starts
@@ -208,6 +251,7 @@ Gpu::coreQuiesceHorizon()
 void
 Gpu::coreSkip(std::uint64_t n)
 {
+    flushSleep();
     coreCycleCount += n;
     bool fused = false;
     for (int c = 0; c < cfg.numCores; ++c)
@@ -246,6 +290,9 @@ Gpu::run()
     const std::uint64_t skipped0 = clocks.skippedEdges();
     const auto prof0 = tickProf;
     const auto wall0 = std::chrono::steady_clock::now();
+    sleepEnabled = skip;
+    coreSleep.assign(cfg.numCores, CoreSleep{});
+    sleptCycles = 0;
 
     while (!allWorkDone()) {
         if (coreCycleCount >= cfg.maxCoreCycles) {
@@ -266,6 +313,8 @@ Gpu::run()
                 clocks.step();
         }
     }
+    flushSleep();
+    sleepEnabled = false;
 
     const auto wall_ns =
         std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -273,7 +322,7 @@ Gpu::run()
             .count();
     recordSimSpeed(coreCycleCount - cycles0,
                    clocks.tickedEdges() - ticked0,
-                   clocks.skippedEdges() - skipped0,
+                   clocks.skippedEdges() - skipped0, sleptCycles,
                    static_cast<std::uint64_t>(wall_ns));
     if (tickProfileEnabled()) {
         for (std::size_t s = 0; s < numProfSlots; ++s) {

@@ -94,6 +94,41 @@ class Gpu : public WorkSource
     void coreSkip(std::uint64_t n);
 
     /**
+     * @name Per-SM sleep (skip scheduler, inside run() only)
+     *
+     * The core domain as a whole rarely quiesces -- one busy SM pins
+     * it -- but most individual SMs spend most cycles provably idle.
+     * After its tick, an SM whose own quiesceHorizon() is positive
+     * falls asleep: later core cycles only run a wake check (horizon
+     * expired, a reply deliverable, or a pending miss able to inject)
+     * and otherwise count an owed cycle. The owed cycles are charged
+     * with one SmCore::skipCycles() when the SM wakes.
+     *
+     * Invariant: owed cycles are flushed before anything reads core
+     * counters or horizons -- the wake-up tick, coreQuiesceHorizon(),
+     * coreSkip() and the end of run() (so harvest() and dumpStats()
+     * see lockstep-identical state). runCycles() never sleeps.
+     */
+    /**@{*/
+    struct CoreSleep
+    {
+        /** Last core cycle the SM's horizon covers (asleep while the
+         *  cycle being ticked is at most this). */
+        std::uint64_t wakeAt = 0;
+        /** Cycles slept since the last flush. */
+        std::uint64_t owed = 0;
+    };
+    /** Charge every SM's owed cycles (their wake cycles stand). */
+    void flushSleep();
+    /** Charge SM @p c's owed cycles. */
+    void flushSleep(int c);
+    bool sleepEnabled = false;
+    std::vector<CoreSleep> coreSleep;
+    /** SM ticks replaced by bulk charges in the current run(). */
+    std::uint64_t sleptCycles = 0;
+    /**@}*/
+
+    /**
      * Per-domain tick-cost telemetry (--profile-ticks). Slots are
      * fixed (0 = dram, 1 = icnt, 2 = core); the log2Ns histogram
      * buckets one tick's wall cost at floor(log2(ns)), capped at the

@@ -42,6 +42,7 @@ struct Totals
     std::atomic<std::uint64_t> skippedEdges{0};
     std::atomic<std::uint64_t> fusedSpans{0};
     std::atomic<std::uint64_t> fusedCycles{0};
+    std::atomic<std::uint64_t> sleptCoreCycles{0};
     std::atomic<std::uint64_t> wallNanos{0};
 };
 
@@ -88,13 +89,16 @@ parseSchedulerMode(const std::string &text, SchedulerMode &out)
 
 void
 recordSimSpeed(std::uint64_t core_cycles, std::uint64_t ticked_edges,
-               std::uint64_t skipped_edges, std::uint64_t wall_nanos)
+               std::uint64_t skipped_edges,
+               std::uint64_t slept_core_cycles, std::uint64_t wall_nanos)
 {
     Totals &t = totals();
     t.runs.fetch_add(1, std::memory_order_relaxed);
     t.coreCycles.fetch_add(core_cycles, std::memory_order_relaxed);
     t.tickedEdges.fetch_add(ticked_edges, std::memory_order_relaxed);
     t.skippedEdges.fetch_add(skipped_edges, std::memory_order_relaxed);
+    t.sleptCoreCycles.fetch_add(slept_core_cycles,
+                                std::memory_order_relaxed);
     t.wallNanos.fetch_add(wall_nanos, std::memory_order_relaxed);
 }
 
@@ -117,6 +121,8 @@ simSpeedTotals()
     out.skippedEdges = t.skippedEdges.load(std::memory_order_relaxed);
     out.fusedSpans = t.fusedSpans.load(std::memory_order_relaxed);
     out.fusedCycles = t.fusedCycles.load(std::memory_order_relaxed);
+    out.sleptCoreCycles =
+        t.sleptCoreCycles.load(std::memory_order_relaxed);
     out.wallNanos = t.wallNanos.load(std::memory_order_relaxed);
     return out;
 }

@@ -9,10 +9,10 @@
  * process-global execution detail, selectable with --scheduler= or the
  * BWSIM_SCHEDULER environment variable (default: skip).
  *
- * The telemetry aggregates core-cycles simulated, wall time and
- * ticked/skipped edge counts across every Gpu::run() in the process
- * (worker threads included), powering the --exec-stats report and the
- * `bwsim perf` harness.
+ * The telemetry aggregates core-cycles simulated, wall time,
+ * ticked/skipped edge counts and slept SM ticks across every
+ * Gpu::run() in the process (worker threads included), powering the
+ * --exec-stats report and the `bwsim perf` harness.
  */
 
 #ifndef BWSIM_SIM_SIM_SPEED_HH
@@ -58,6 +58,12 @@ struct SimSpeedTotals
      */
     std::uint64_t fusedSpans = 0;
     std::uint64_t fusedCycles = 0;
+    /**
+     * SM ticks replaced by bulk charges while that SM slept on its own
+     * horizon (per-SM sleep, see Gpu). Independent of the domain-level
+     * edge counts: a slept tick falls on an executed core edge.
+     */
+    std::uint64_t sleptCoreCycles = 0;
     std::uint64_t wallNanos = 0;
 
     double
@@ -71,7 +77,9 @@ struct SimSpeedTotals
 
 /** Record one completed simulation (thread-safe). */
 void recordSimSpeed(std::uint64_t core_cycles, std::uint64_t ticked_edges,
-                    std::uint64_t skipped_edges, std::uint64_t wall_nanos);
+                    std::uint64_t skipped_edges,
+                    std::uint64_t slept_core_cycles,
+                    std::uint64_t wall_nanos);
 
 /**
  * Record one fused span: a flush of @p fused_cycles skipped edges in

@@ -14,10 +14,10 @@ SmCore::SmCore(const CoreParams &params, MemFetchAllocator *allocator)
       warps(params.maxWarps),
       wflags(params.maxWarps, 0),
       ibufCnt(params.maxWarps, 0),
-      headOp(params.maxWarps, 0),
       headDest(params.maxWarps, -1),
       headSrc(params.maxWarps, -1),
       warpPendingLsu(params.maxWarps, 0),
+      schedMask(params.numSchedulers, 0),
       schedList(params.numSchedulers),
       ctas(params.maxCtasResident),
       scoreboard(params.maxWarps),
@@ -35,6 +35,8 @@ SmCore::SmCore(const CoreParams &params, MemFetchAllocator *allocator)
                  cfg.coreId);
     bwsim_assert(cfg.memPipelineWidth > 0,
                  "core %d: memory pipeline needs width", cfg.coreId);
+    for (int w = 0; w < cfg.maxWarps; ++w)
+        schedMask[w % cfg.numSchedulers] |= std::uint64_t(1) << w;
 
     CacheParams l1dp = cfg.l1d;
     l1dp.name = csprintf("l1d_c%d", cfg.coreId);
@@ -96,36 +98,55 @@ SmCore::registerStats(stats::Group &parent)
     l1iCache->registerStats(g, "l1i");
 }
 
+namespace
+{
+
+void
+assignBit(std::uint64_t &mask, int bit, bool on)
+{
+    const std::uint64_t b = std::uint64_t(1) << bit;
+    mask = on ? (mask | b) : (mask & ~b);
+}
+
+} // namespace
+
 void
 SmCore::syncHead(int warp)
 {
     if (ibufCnt[warp] == 0)
         return;
     const WarpInstData &inst = warps[warp].ibuf.front();
-    headOp[warp] = static_cast<std::uint8_t>(inst.op);
     headDest[warp] = static_cast<std::int16_t>(inst.dest);
     headSrc[warp] = static_cast<std::int16_t>(inst.src);
+    assignBit(headMemMask, warp, inst.isMem());
+    assignBit(headSfuMask, warp, inst.op == Op::Sfu);
+    refreshDep(warp);
+}
+
+void
+SmCore::refreshDep(int warp)
+{
+    if (ibufCnt[warp] == 0)
+        return; // re-derived by syncHead() when the I-buffer refills
+    PendingKind blocked;
+    scoreboard.canIssueRegs(warp, headSrc[warp], headDest[warp], blocked);
+    assignBit(depMemMask, warp, blocked == PendingKind::Mem);
+    assignBit(depAluMask, warp, blocked == PendingKind::Alu);
 }
 
 void
 SmCore::updateWarpBits(int warp)
 {
-    std::uint64_t bit = std::uint64_t(1) << warp;
     std::uint8_t f = wflags[warp];
     bool live = f & WfInUse;
-    bool eligible = f == WfInUse &&
-                    int(ibufCnt[warp]) < cfg.ibufferEntries;
-    fetchEligible = eligible ? (fetchEligible | bit)
-                             : (fetchEligible & ~bit);
-    bool decoded = live && ibufCnt[warp] > 0;
-    decodedMask = decoded ? (decodedMask | bit) : (decodedMask & ~bit);
-    bool unfetched = live && (!(f & WfCursorDone) ||
-                              (f & WfWaitingIFetch));
-    unfetchedMask = unfetched ? (unfetchedMask | bit)
-                              : (unfetchedMask & ~bit);
-    bool mem_pending = live && warpPendingLsu[warp] > 0;
-    memPendingMask = mem_pending ? (memPendingMask | bit)
-                                 : (memPendingMask & ~bit);
+    assignBit(fetchEligible, warp,
+              f == WfInUse && int(ibufCnt[warp]) < cfg.ibufferEntries);
+    assignBit(decodedMask, warp, live && ibufCnt[warp] > 0);
+    assignBit(unfetchedMask, warp,
+              live && (!(f & WfCursorDone) || (f & WfWaitingIFetch)));
+    assignBit(memPendingMask, warp, live && warpPendingLsu[warp] > 0);
+    assignBit(retireCandMask, warp,
+              f == (WfInUse | WfCursorDone) && ibufCnt[warp] == 0);
 }
 
 void
@@ -177,7 +198,6 @@ SmCore::maybeDispatchCtas()
         }
         schedListDirty = true;
         retireDirty = true; // empty-program warps retire immediately
-        issueDirty = true;
     }
 }
 
@@ -239,12 +259,10 @@ SmCore::fetchStage(double now_ps)
             bool ok = warp.cursor->next(inst);
             bwsim_assert(ok, "cursor lied about done()");
             warp.ibuf.push_back(std::move(inst));
-            if (ibufCnt[w]++ == 0)
-                ++decodedWarps;
+            ++ibufCnt[w];
         }
         if (was_empty)
             syncHead(w);
-        issueDirty = true; // refilled I-buffer: new issue candidate
         if (warp.cursor->done()) {
             wflags[w] |= WfCursorDone;
             retireDirty = true;
@@ -328,7 +346,6 @@ SmCore::popIbufHead(int warp)
 {
     warps[warp].ibuf.pop_front();
     if (--ibufCnt[warp] == 0) {
-        --decodedWarps;
         if (wflags[warp] & WfCursorDone)
             retireDirty = true;
     } else {
@@ -337,132 +354,86 @@ SmCore::popIbufHead(int warp)
     updateWarpBits(warp);
 }
 
+std::uint64_t
+SmCore::readyHeads(int alu_issued) const
+{
+    const bool alu_slot = alu_issued < cfg.aluIssuePerCycle;
+    std::uint64_t units = 0;
+    if (lsuHasFreeSlot())
+        units |= headMemMask;
+    if (alu_slot && sfuInflight < cfg.sfuInflightCap)
+        units |= headSfuMask;
+    if (alu_slot && aluInflight < cfg.aluInflightCap)
+        units |= ~(headMemMask | headSfuMask);
+    return decodedMask & ~(depMemMask | depAluMask) & units;
+}
+
 void
 SmCore::issueStage()
 {
-    // Batched retry: a zero-issue scan has no side effects beyond the
-    // saw-flags, and its outcome is a pure function of state that only
-    // changes at marked points (issue itself, exec completions, fetch
-    // refills, memory completions, dispatch/retire), each of which
-    // sets issueDirty. While clean, this cycle's scan would re-derive
-    // exactly the flags the last scan left behind: keep them and skip
-    // the warp loop.
-    if (!issueDirty) {
-        issuedThisCycle = 0;
-        aluIssuedThisCycle = 0;
-        return;
-    }
-
     issuedThisCycle = 0;
     aluIssuedThisCycle = 0;
-    sawStructMem = sawStructAlu = sawDataMem = sawDataAlu = false;
-
-    if (schedListDirty)
-        rebuildSchedLists();
 
     for (int s = 0; s < cfg.numSchedulers; ++s) {
-        int greedy = (cfg.sched == SchedPolicy::Gto) ? greedyWarp[s] : -1;
-        const auto &list = schedList[s];
+        // Unit state changes with every issue, so each scheduler sees
+        // the ready set as the schedulers before it left it.
+        const std::uint64_t ready =
+            readyHeads(aluIssuedThisCycle) & schedMask[s];
+        if (ready == 0)
+            continue;
 
-        // Candidate order: greedy warp first, then oldest-first. The
-        // schedList is age-sorted and only rebuilt on dispatch/retire.
-        int issued_warp = -1;
-        std::size_t start = (cfg.sched == SchedPolicy::Lrr)
-                                ? std::size_t(lrrPtr[s]) % std::max<
-                                      std::size_t>(1, list.size())
-                                : 0;
-        std::size_t count = list.size() + (greedy >= 0 ? 1 : 0);
-        for (std::size_t k = 0; k < count; ++k) {
-            int w;
-            if (greedy >= 0 && k == 0) {
-                w = greedy;
-                if (!(wflags[w] & WfInUse))
-                    continue;
-            } else {
-                std::size_t li = k - (greedy >= 0 ? 1 : 0);
-                if (li >= list.size())
-                    break;
-                w = list[(start + li) % list.size()];
-                if (w == greedy)
-                    continue;
-            }
-            if (ibufCnt[w] == 0)
-                continue;
-
-            // Hazard checks run on the compact head mirror; the deque
-            // is only touched when the instruction actually issues.
-            Op op = static_cast<Op>(headOp[w]);
-            PendingKind blocked;
-            if (!scoreboard.canIssueRegs(w, headSrc[w], headDest[w],
-                                         blocked)) {
-                if (blocked == PendingKind::Mem)
-                    sawDataMem = true;
-                else
-                    sawDataAlu = true;
-                continue;
-            }
-
-            bool is_mem = (op == Op::Load || op == Op::Store);
-            bool unit_free;
-            if (is_mem) {
-                unit_free = lsuHasFreeSlot();
-                if (!unit_free)
-                    sawStructMem = true;
-            } else if (op == Op::Sfu) {
-                unit_free = sfuInflight < cfg.sfuInflightCap &&
-                            aluIssuedThisCycle < cfg.aluIssuePerCycle;
-                if (!unit_free)
-                    sawStructAlu = true;
-            } else {
-                unit_free = aluInflight < cfg.aluInflightCap &&
-                            aluIssuedThisCycle < cfg.aluIssuePerCycle;
-                if (!unit_free)
-                    sawStructAlu = true;
-            }
-            if (!unit_free)
-                continue;
-
-            // Issue.
-            Warp &warp = warps[w];
-            const WarpInstData &inst = warp.ibuf.front();
-            if (inst.isMem()) {
-                lsuAllocSlot(w, inst);
-                if (inst.op == Op::Load) {
-                    scoreboard.setPending(w, inst.dest, PendingKind::Mem);
-                    ++ctr.loadsIssued;
-                } else {
-                    ++ctr.storesIssued;
-                }
-            } else {
-                if (inst.dest >= 0)
-                    scoreboard.setPending(w, inst.dest, PendingKind::Alu);
-                auto &pipe = (inst.op == Op::Sfu) ? sfuPipe : aluPipe;
-                pipe.push({w, inst.dest}, cycle + inst.latency);
-                if (inst.op == Op::Sfu)
-                    ++sfuInflight;
-                else
-                    ++aluInflight;
-                ++aluIssuedThisCycle;
-            }
-            popIbufHead(w);
-            issued_warp = w;
-            ++issuedThisCycle;
-            ++ctr.issuedInsts;
-            break; // one instruction per scheduler per cycle
+        // Greedy warp first, else the first ready warp in the
+        // age-sorted schedList (oldest first; LRR starts at its
+        // rotating pointer). The list is rebuilt only on
+        // dispatch/retire.
+        int w = (cfg.sched == SchedPolicy::Gto) ? greedyWarp[s] : -1;
+        if (w < 0 || !((ready >> w) & 1)) {
+            if (schedListDirty)
+                rebuildSchedLists();
+            const auto &list = schedList[s];
+            std::size_t start = (cfg.sched == SchedPolicy::Lrr)
+                                    ? std::size_t(lrrPtr[s]) % list.size()
+                                    : 0;
+            std::size_t k = 0;
+            while (k < list.size() &&
+                   !((ready >> list[(start + k) % list.size()]) & 1))
+                ++k;
+            bwsim_assert(k < list.size(),
+                         "core %d: ready warp missing from schedList",
+                         cfg.coreId);
+            w = list[(start + k) % list.size()];
         }
 
-        if (issued_warp >= 0) {
-            if (cfg.sched == SchedPolicy::Gto)
-                greedyWarp[s] = issued_warp;
+        Warp &warp = warps[w];
+        const WarpInstData &inst = warp.ibuf.front();
+        if (inst.isMem()) {
+            lsuAllocSlot(w, inst);
+            if (inst.op == Op::Load) {
+                scoreboard.setPending(w, inst.dest, PendingKind::Mem);
+                ++ctr.loadsIssued;
+            } else {
+                ++ctr.storesIssued;
+            }
+        } else {
+            if (inst.dest >= 0)
+                scoreboard.setPending(w, inst.dest, PendingKind::Alu);
+            auto &pipe = (inst.op == Op::Sfu) ? sfuPipe : aluPipe;
+            pipe.push({w, inst.dest}, cycle + inst.latency);
+            if (inst.op == Op::Sfu)
+                ++sfuInflight;
             else
-                lrrPtr[s] = lrrPtr[s] + 1;
+                ++aluInflight;
+            ++aluIssuedThisCycle;
         }
-    }
+        popIbufHead(w);
+        ++issuedThisCycle;
+        ++ctr.issuedInsts;
 
-    // An issue changed scoreboard/unit/I-buffer state, so next cycle
-    // must scan again; a zero-issue scan is reusable until a marked
-    // mutation re-arms the dirty bit.
-    issueDirty = (issuedThisCycle > 0);
+        if (cfg.sched == SchedPolicy::Gto)
+            greedyWarp[s] = w;
+        else
+            lrrPtr[s] = lrrPtr[s] + 1;
+    }
 }
 
 void
@@ -470,19 +441,21 @@ SmCore::execStage()
 {
     while (aluPipe.ready(cycle)) {
         auto [w, reg] = aluPipe.pop();
-        if (reg >= 0)
+        if (reg >= 0) {
             scoreboard.clear(w, reg);
+            refreshDep(w);
+        }
         --aluInflight;
         retireDirty = true;
-        issueDirty = true;
     }
     while (sfuPipe.ready(cycle)) {
         auto [w, reg] = sfuPipe.pop();
-        if (reg >= 0)
+        if (reg >= 0) {
             scoreboard.clear(w, reg);
+            refreshDep(w);
+        }
         --sfuInflight;
         retireDirty = true;
-        issueDirty = true;
     }
 }
 
@@ -498,8 +471,10 @@ SmCore::pendingAccessDone(int pending_idx)
     // Whole warp memory instruction complete (the paper's "tail
     // request" semantics: the warp resumes only when its last access
     // returns).
-    if (!p.write && p.destReg >= 0)
+    if (!p.write && p.destReg >= 0) {
         scoreboard.clear(p.warpId, p.destReg);
+        refreshDep(p.warpId);
+    }
     bwsim_assert(warpPendingLsu[p.warpId] > 0,
                  "warp LSU accounting underflow");
     --warpPendingLsu[p.warpId];
@@ -507,7 +482,6 @@ SmCore::pendingAccessDone(int pending_idx)
     p.valid = false;
     pendingFree.push_back(pending_idx);
     retireDirty = true;
-    issueDirty = true;
 }
 
 void
@@ -568,7 +542,6 @@ SmCore::memStage(double now_ps)
         return; // L1 counted the cause; retry next cycle
     }
     ++ctr.l1Accesses;
-    issueDirty = true; // LSU slot progress can free a struct hazard
     int pending_idx = s.pendingIdx;
     ++s.nextIdx;
     if (s.nextIdx >= s.addrs.size()) {
@@ -616,9 +589,9 @@ SmCore::retireFinishedWarps()
     if (!retireDirty)
         return;
     retireDirty = false;
-    for (int w = 0; w < int(warps.size()); ++w) {
-        if (wflags[w] != (WfInUse | WfCursorDone) || ibufCnt[w] != 0)
-            continue;
+    // Snapshot: retiring a warp clears its own candidate bit.
+    for (std::uint64_t m = retireCandMask; m; m &= m - 1) {
+        int w = __builtin_ctzll(m);
         Warp &warp = warps[w];
         if (warpPendingLsu[w] > 0 || scoreboard.anyPending(w))
             continue;
@@ -636,8 +609,33 @@ SmCore::retireFinishedWarps()
             ++ctr.ctasCompleted;
         }
         schedListDirty = true;
-        issueDirty = true;
     }
+}
+
+IssueStall
+SmCore::stallCause() const
+{
+    if (decodedMask == 0) {
+        // Nothing decoded anywhere: fetch-starved, unless every live
+        // warp is merely draining its last memory/ALU operations.
+        if (unfetchedMask != 0)
+            return IssueStall::Fetch;
+        if (memPendingMask != 0)
+            return IssueStall::DataMem; // draining the memory tail
+        return IssueStall::DataAlu;     // draining the exec pipes
+    }
+    // No warp issued, so every decoded warp was examined and is either
+    // hazard-blocked or waiting on its unit; structural stalls outrank
+    // data stalls, memory outranks ALU.
+    const std::uint64_t hazard_free =
+        decodedMask & ~(depMemMask | depAluMask);
+    if ((hazard_free & headMemMask) != 0)
+        return IssueStall::StrMem;
+    if (hazard_free != 0)
+        return IssueStall::StrAlu;
+    if ((decodedMask & depMemMask) != 0)
+        return IssueStall::DataMem;
+    return IssueStall::DataAlu;
 }
 
 void
@@ -649,32 +647,7 @@ SmCore::classifyStallCycle()
     }
     if (liveWarps == 0)
         return; // idle core: no work resident, not a stall
-
-    IssueStall cause;
-    if (decodedWarps > 0) {
-        if (sawStructMem)
-            cause = IssueStall::StrMem;
-        else if (sawStructAlu)
-            cause = IssueStall::StrAlu;
-        else if (sawDataMem)
-            cause = IssueStall::DataMem;
-        else if (sawDataAlu)
-            cause = IssueStall::DataAlu;
-        else
-            cause = IssueStall::Fetch; // decoded only on an idle sched
-    } else {
-        // Nothing decoded anywhere: fetch-starved, unless every live
-        // warp is merely draining its last memory/ALU operations.
-        bool any_unfetched = (unfetchedMask != 0);
-        bool any_mem_pending = (memPendingMask != 0);
-        if (any_unfetched)
-            cause = IssueStall::Fetch;
-        else if (any_mem_pending)
-            cause = IssueStall::DataMem; // draining the memory tail
-        else
-            cause = IssueStall::DataAlu; // draining the exec pipes
-    }
-    ++ctr.issueStalls[static_cast<unsigned>(cause)];
+    ++ctr.issueStalls[static_cast<unsigned>(stallCause())];
 }
 
 void
@@ -703,7 +676,7 @@ SmCore::tick(double now_ps)
 std::uint64_t
 SmCore::quiesceHorizon()
 {
-    // The dry-run below is hot under the cycle-skip scheduler: every
+    // The horizon is hot under the cycle-skip scheduler: every
     // executed crossbar edge re-queries the core domain's horizon. The
     // result only depends on core-internal state, so it stays valid
     // until the next tick()/deliverResponse() and just shrinks as
@@ -755,80 +728,12 @@ SmCore::computeQuiesceHorizon()
         }
     }
 
-    // Dry-run the issue scan on the compact head mirrors. If any
-    // decoded warp can issue, the tick must run. Otherwise the scan
-    // reproduces exactly the saw-flags a zero-issue issueStage() would
-    // set from this (frozen) state, feeding the stall classification.
-    // When the batched-retry memo is clean (!issueDirty), the last
-    // real scan already issued nothing from this same state and its
-    // saw-flags are current: reuse them and skip the dry-run entirely.
-    bool saw_struct_mem = false, saw_struct_alu = false;
-    bool saw_data_mem = false, saw_data_alu = false;
-    if (!issueDirty) {
-        saw_struct_mem = sawStructMem;
-        saw_struct_alu = sawStructAlu;
-        saw_data_mem = sawDataMem;
-        saw_data_alu = sawDataAlu;
-    } else if (decodedWarps > 0) {
-        for (std::uint64_t m = decodedMask; m; m &= m - 1) {
-            int w = __builtin_ctzll(m);
-            PendingKind blocked;
-            if (!scoreboard.canIssueRegs(w, headSrc[w], headDest[w],
-                                         blocked)) {
-                if (blocked == PendingKind::Mem)
-                    saw_data_mem = true;
-                else
-                    saw_data_alu = true;
-                continue;
-            }
-            Op op = static_cast<Op>(headOp[w]);
-            if (op == Op::Load || op == Op::Store) {
-                if (lsuHasFreeSlot())
-                    return 0;
-                saw_struct_mem = true;
-            } else if (op == Op::Sfu) {
-                // aluIssuedThisCycle resets to 0 at issueStage entry,
-                // so only the inflight caps gate a would-be issue.
-                if (sfuInflight < cfg.sfuInflightCap &&
-                    cfg.aluIssuePerCycle > 0) {
-                    return 0;
-                }
-                saw_struct_alu = true;
-            } else {
-                if (aluInflight < cfg.aluInflightCap &&
-                    cfg.aluIssuePerCycle > 0) {
-                    return 0;
-                }
-                saw_struct_alu = true;
-            }
-        }
-    }
-
-    // Freeze the stall cause for the span, mirroring
-    // classifyStallCycle() on the state every skipped cycle will see.
-    IssueStall cause;
-    if (decodedWarps > 0) {
-        if (saw_struct_mem)
-            cause = IssueStall::StrMem;
-        else if (saw_struct_alu)
-            cause = IssueStall::StrAlu;
-        else if (saw_data_mem)
-            cause = IssueStall::DataMem;
-        else if (saw_data_alu)
-            cause = IssueStall::DataAlu;
-        else
-            cause = IssueStall::Fetch;
-    } else {
-        bool any_unfetched = (unfetchedMask != 0);
-        bool any_mem_pending = (memPendingMask != 0);
-        if (any_unfetched)
-            cause = IssueStall::Fetch;
-        else if (any_mem_pending)
-            cause = IssueStall::DataMem;
-        else
-            cause = IssueStall::DataAlu;
-    }
-    skipStallCause = cause;
+    // Any decoded warp that could issue next tick pins the horizon
+    // (the issue stage starts each cycle with no ALU issues). If none
+    // can, every skipped cycle classifies as the same frozen stall.
+    if (readyHeads(0) != 0)
+        return 0;
+    skipStallCause = stallCause();
 
     // Earliest pipe completion, relative to the pre-incremented cycle
     // counter (an event at cycle value X fires on the tick that makes

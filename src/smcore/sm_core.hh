@@ -169,6 +169,11 @@ class SmCore
      * skipCycles() charges the increments in one shot.
      * Also precomputes the (frozen) per-cycle stall classification the
      * skipped span will be attributed to by skipCycles().
+     *
+     * The result is memoized and shrinks with every skipCycles(), so it
+     * is only current once every skipped cycle has been charged: a
+     * caller that defers skipCycles() (the Gpu's per-SM sleep) must
+     * flush the owed cycles before it reads the horizon or counters().
      */
     std::uint64_t quiesceHorizon();
 
@@ -178,6 +183,8 @@ class SmCore
      * the memoized per-cycle L1D/L1I stall replays of a fused span
      * (including the fetch round-robin rotation, integrated in closed
      * form). Valid only on a span the horizon declared integrable.
+     * Additive: skipCycles(a) then skipCycles(b) equals
+     * skipCycles(a + b), so a span may be charged in pieces.
      * Returns true iff fused (memoized) charges were applied.
      */
     bool skipCycles(std::uint64_t n);
@@ -256,6 +263,13 @@ class SmCore
     void memStage(double now_ps);
     void retireFinishedWarps();
     void classifyStallCycle();
+    /** Decoded warps whose head has no data hazard and whose unit can
+     *  take it, given @p alu_issued ALU/SFU issues so far this cycle. */
+    std::uint64_t readyHeads(int alu_issued) const;
+    /** Fig. 7 cause of a zero-issue cycle in the current state. Only
+     *  valid while readyHeads(0) == 0: every decoded warp is then
+     *  blocked by a hazard or by its unit. */
+    IssueStall stallCause() const;
     void pendingAccessDone(int pending_idx);
     bool lsuHasFreeSlot() const { return lsuOccupied < int(lsu.size()); }
     int lsuAllocSlot(int warp, const WarpInstData &inst);
@@ -277,20 +291,22 @@ class SmCore
     std::vector<Warp> warps;
     std::vector<std::uint8_t> wflags;  ///< WarpFlag bits per warp
     std::vector<std::uint8_t> ibufCnt; ///< mirrors warps[w].ibuf.size()
-    /** Compact copy of each warp's I-buffer head (valid iff ibufCnt>0):
-     *  the issue scan never touches the deque until it issues. */
-    std::vector<std::uint8_t> headOp;
+    /** Register operands of each warp's I-buffer head (valid iff
+     *  ibufCnt>0), for re-deriving its hazard bits. */
     std::vector<std::int16_t> headDest;
     std::vector<std::int16_t> headSrc;
     /** Outstanding memory instructions per warp (SoA: the stall
      *  classification and retire scans never touch struct Warp). */
     std::vector<std::uint32_t> warpPendingLsu;
     /** @name Packed per-warp state (SoA hot-scan masks)
-     *  The per-cycle scans (fetch arbitration, issue dry-run, stall
-     *  classification) walk these bitmasks with ctz loops instead of
-     *  striding over the Warp array. Every mask is updated at the
-     *  same mutation points that maintain wflags/ibufCnt (see
-     *  updateWarpBits). */
+     *  Fetch arbitration, issue selection, the quiescence horizon,
+     *  stall classification and retirement are all bitmask
+     *  expressions over these instead of walks over the Warp array.
+     *  The warp-state masks change wherever wflags/ibufCnt do (see
+     *  updateWarpBits); the head masks in syncHead(); the hazard
+     *  masks in syncHead() and after every scoreboard change
+     *  (refreshDep). Head and hazard bits are only meaningful where
+     *  decodedMask is set. */
     /**@{*/
     /** Bit w set iff warp w may attempt a fetch this cycle. */
     std::uint64_t fetchEligible = 0;
@@ -301,13 +317,25 @@ class SmCore
     std::uint64_t unfetchedMask = 0;
     /** Bit w set iff warp w is live with outstanding memory ops. */
     std::uint64_t memPendingMask = 0;
+    /** Bit w set iff warp w has fetched its whole program and drained
+     *  its I-buffer: it retires once its operations complete. */
+    std::uint64_t retireCandMask = 0;
+    /** Head instruction class: load/store, SFU (else ALU). */
+    std::uint64_t headMemMask = 0;
+    std::uint64_t headSfuMask = 0;
+    /** Head blocked by a pending write, by the kind that owns it
+     *  (memory wins, as in Scoreboard::canIssueRegs). */
+    std::uint64_t depMemMask = 0;
+    std::uint64_t depAluMask = 0;
+    /** Warps each scheduler owns (w % numSchedulers == s). */
+    std::vector<std::uint64_t> schedMask;
     /**@}*/
     int liveWarps = 0;
-    int decodedWarps = 0; ///< warps with a non-empty I-buffer
     bool retireDirty = false;
     bool schedListDirty = true;
     std::vector<std::vector<int>> schedList; ///< per-sched, age order
     void syncHead(int warp);
+    void refreshDep(int warp);
     void updateWarpBits(int warp);
 
     std::vector<CtaSlot> ctas;
@@ -337,25 +365,19 @@ class SmCore
 
     /** Per-cycle issue bookkeeping for stall classification. */
     int issuedThisCycle = 0;
-    bool sawStructMem = false, sawStructAlu = false;
-    bool sawDataMem = false, sawDataAlu = false;
     int aluIssuedThisCycle = 0;
 
     /**
      * @name Batched retry memos (congested-path fast paths)
      *
-     * A zero-issue scheduler scan and a stalled L1 access are pure
-     * functions of core/cache state: re-running them each cycle while
-     * nothing changed re-derives the same saw-flags / stall cause.
-     * The memos below skip the re-derivation and replay the counter
-     * math; every mutation that could change the outcome either bumps
-     * the cache version or sets issueDirty, so the replayed values are
-     * provably the ones a fresh scan would produce.
+     * A stalled L1 access is a pure function of cache state:
+     * re-running it each cycle while nothing changed re-derives the
+     * same stall cause. The memos below skip the re-derivation and
+     * replay the counter math; every mutation that could change the
+     * outcome bumps the cache version, so the replayed values are
+     * provably the ones a fresh probe would produce.
      */
     /**@{*/
-    /** False only while no state consulted by issueStage() has
-     *  changed since a zero-issue scan left the saw-flags set. */
-    bool issueDirty = true;
     /** Memoized stalled L1D access: valid while the L1D version and
      *  the presented access (slot seq, access index) are unchanged
      *  and the cause is state-only (never PortBusy). */

@@ -19,7 +19,9 @@ canonicalTraceBytes(const TraceData &t)
         w.u8(r.op == Op::Store ? 1 : 0);
         w.u64(r.addr);
         // -1 (untagged) encodes as 0 so tagged/untagged never collide.
-        w.u32(static_cast<std::uint32_t>(r.cta + 1));
+        // Unsigned arithmetic, here and when decoding: any cta a
+        // corrupt payload decodes to must re-encode without overflow.
+        w.u32(static_cast<std::uint32_t>(r.cta) + 1u);
     }
     return std::move(w).take();
 }
@@ -271,7 +273,7 @@ deserializeWorkload(ByteReader &r, WorkloadSpec &out)
                 return false;
             rec.op = op ? Op::Store : Op::Load;
             rec.addr = rr.u64();
-            rec.cta = static_cast<std::int32_t>(rr.u32()) - 1;
+            rec.cta = static_cast<std::int32_t>(rr.u32() - 1u);
         }
         sealTrace(*t);
         // The frame checksum guards the bytes; this guards the

@@ -155,7 +155,7 @@ TEST(CongestedEquiv, SchedulerModesProduceByteIdenticalStats)
     // The run must actually be congested, or this test proves nothing.
     // Every backpressure mechanism the fast paths touch has to have
     // fired: L1 stall retries (memoized access path), core issue
-    // stalls (issueDirty batching), crossbar ejection blocking (bitset
+    // stalls (mask-driven issue selection), crossbar ejection blocking (bitset
     // arbitration), and a non-empty DRAM scheduler queue (row-indexed
     // buckets).
     EXPECT_GT(vectorStatSum(skip, "gpu.core0.l1d.stall_cycles"), 0.0)

@@ -457,7 +457,8 @@ TEST(FuzzSerdes, WorkloadTruncationsAllRejected)
         const WorkloadSpec spec = randomWorkload(rng);
         const std::string bytes = workloadBytes(spec);
         for (std::size_t cut = 0; cut < bytes.size(); ++cut) {
-            ByteReader r(bytes.substr(0, cut));
+            const std::string prefix = bytes.substr(0, cut);
+            ByteReader r(prefix);
             WorkloadSpec back;
             EXPECT_FALSE(deserializeWorkload(r, back))
                 << "kind " << static_cast<int>(spec.kind) << " cut "

@@ -308,7 +308,8 @@ TEST(WorkloadSerdes, RejectsTruncationAndKindCorruption)
     const std::string bytes = std::move(w).take();
 
     for (std::size_t cut = 0; cut < bytes.size(); cut += 7) {
-        ByteReader r(bytes.substr(0, cut));
+        const std::string prefix = bytes.substr(0, cut);
+        ByteReader r(prefix);
         WorkloadSpec junk;
         EXPECT_FALSE(deserializeWorkload(r, junk))
             << "accepted a truncation at " << cut;
