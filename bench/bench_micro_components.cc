@@ -38,10 +38,10 @@ BM_MshrAllocateFill(benchmark::State &state)
     std::vector<MshrWaiter> out;
     Addr a = 0;
     for (auto _ : state) {
-        mshr.allocate(a);
-        mshr.addWaiter(a, MshrWaiter{0, 0, nullptr, false});
+        const int e = mshr.allocate(a);
+        mshr.addWaiter(e, MshrWaiter{0, 0, nullptr, false});
         out.clear();
-        mshr.fill(a, out);
+        mshr.fill(mshr.find(a), out);
         a += 128;
     }
 }

@@ -6,8 +6,8 @@
 #   test   -- build + the full ctest suite
 #   smoke  -- cache/--jobs/queue end-to-end checks against an existing
 #             build
-#   asan   -- ASan+UBSan instrumented build (build-asan/) + the
-#             quick-label suites under both sanitizers
+#   asan   -- ASan+UBSan (+ libstdc++ assertions) instrumented build
+#             (build-asan/) + the quick-label suites under them
 #   (none) -- test + smoke
 set -eu
 
@@ -25,9 +25,13 @@ run_tests() {
 # ASan+UBSan instrumented build and quick-label test run, in its own
 # build directory so it never dirties the regular one. UBSan halts on
 # the first finding (otherwise violations scroll by as warnings and
-# the suite still passes).
+# the suite still passes). _GLIBCXX_ASSERTIONS bounds-checks
+# operator[] on the standard containers (the SM's I-buffer and LSU
+# rings, the flat MSHR tables) against size(); ASan misses an index
+# that stays inside the vector's allocated capacity.
 asan() {
     cmake -B build-asan -S . -DBWSIM_SANITIZE=address,undefined \
+        -DCMAKE_CXX_FLAGS=-D_GLIBCXX_ASSERTIONS \
         -DBWSIM_BUILD_BENCHES=OFF -DBWSIM_BUILD_EXAMPLES=OFF
     cmake --build build-asan -j "$(nproc)"
     UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \

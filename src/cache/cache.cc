@@ -290,12 +290,12 @@ CacheModel::handleRead(const CacheAccess &acc, Cycle now, double now_ps)
     waiter.isInstFetch = acc.isInstFetch;
 
     if (probe.result == ProbeResult::HitReserved) {
-        bwsim_assert(mshr.hasEntry(acc.lineAddr),
-                     "reserved line 0x%llx without an MSHR entry",
+        const int e = mshr.find(acc.lineAddr);
+        bwsim_assert(e >= 0, "reserved line 0x%llx without an MSHR entry",
                      static_cast<unsigned long long>(acc.lineAddr));
-        if (!mshr.canMerge(acc.lineAddr))
+        if (!mshr.canMerge(e))
             return CacheOutcome::StallMshrFull;
-        mshr.addWaiter(acc.lineAddr, waiter);
+        mshr.addWaiter(e, waiter);
         ++ctr.mshrMerges;
         return CacheOutcome::MissMerged;
     }
@@ -313,8 +313,7 @@ CacheModel::handleRead(const CacheAccess &acc, Cycle now, double now_ps)
         return CacheOutcome::StallMissQueueFull;
 
     reserveLine(probe, acc.lineAddr, now, now_ps, slots);
-    mshr.allocate(acc.lineAddr);
-    mshr.addWaiter(acc.lineAddr, waiter);
+    mshr.addWaiter(mshr.allocate(acc.lineAddr), waiter);
 
     MemFetch *fetch;
     if (acc.mf) {
@@ -389,10 +388,10 @@ CacheModel::handleWriteBack(const CacheAccess &acc, Cycle now,
     }
 
     if (probe.result == ProbeResult::HitReserved) {
-        bwsim_assert(mshr.hasEntry(acc.lineAddr),
-                     "reserved line 0x%llx without an MSHR entry",
+        const int e = mshr.find(acc.lineAddr);
+        bwsim_assert(e >= 0, "reserved line 0x%llx without an MSHR entry",
                      static_cast<unsigned long long>(acc.lineAddr));
-        mshr.markDirtyOnFill(acc.lineAddr);
+        mshr.markDirtyOnFill(e);
         ++ctr.writeHits;
         alloc->free(mf);
         return CacheOutcome::WriteMerged;
@@ -423,8 +422,7 @@ CacheModel::handleWriteBack(const CacheAccess &acc, Cycle now,
         if (portCyclesPerLine)
             portFreeAt = std::max(portFreeAt, now) + portCyclesPerLine;
     } else {
-        mshr.allocate(acc.lineAddr);
-        mshr.markDirtyOnFill(acc.lineAddr);
+        mshr.markDirtyOnFill(mshr.allocate(acc.lineAddr));
         CacheAccess fetch_ctx; // anonymous: the fetch belongs to the L2
         MemFetch *fetch = makePacket(AccessType::GlobalRead, acc.lineAddr,
                                      0, fetch_ctx, now_ps);
@@ -442,19 +440,18 @@ CacheModel::fill(MemFetch *mf, Cycle now, double now_ps,
                  std::vector<MshrWaiter> &woken)
 {
     Addr line = mf->lineAddr;
-    bwsim_assert(mshr.hasEntry(line), "fill for untracked line 0x%llx",
+    const int e = mshr.find(line);
+    bwsim_assert(e >= 0, "fill for untracked line 0x%llx",
                  static_cast<unsigned long long>(line));
 
     bool is_l2 = cfg.respQueueEntries > 0;
-    std::size_t n_waiters = mshr.waiterCount(line);
     if (is_l2) {
         std::size_t space = respQ.capacity() - respQ.size();
-        if (space < n_waiters)
+        if (space < mshr.waiterCount(e))
             return false; // reply network back-pressure blocks the fill
     }
 
-    bool dirty = mshr.isDirtyOnFill(line);
-    tags.fill(line, now, dirty);
+    tags.fill(line, now, mshr.isDirtyOnFill(e));
     ++ctr.fills;
     ++ver;
 
@@ -464,14 +461,12 @@ CacheModel::fill(MemFetch *mf, Cycle now, double now_ps,
     if (portCyclesPerLine)
         portFreeAt = std::max(portFreeAt, now) + portCyclesPerLine;
 
-    std::vector<MshrWaiter> waiters;
-    waiters.reserve(n_waiters);
-    mshr.fill(line, waiters);
-
     if (is_l2) {
+        l2Woken.clear();
+        mshr.fill(e, l2Woken);
         bool mf_is_waiter = false;
         Cycle when = now + cfg.hitLatency;
-        for (auto &w : waiters) {
+        for (auto &w : l2Woken) {
             bwsim_assert(w.mf, "L2 MSHR waiter without a packet");
             w.mf->tL2Done = now_ps;
             bool ok = respQ.push(w.mf, when);
@@ -483,8 +478,7 @@ CacheModel::fill(MemFetch *mf, Cycle now, double now_ps,
         if (!mf_is_waiter)
             alloc->free(mf); // an L2-generated fetch (write allocate)
     } else {
-        for (auto &w : waiters)
-            woken.push_back(w);
+        mshr.fill(e, woken);
     }
     return true;
 }

@@ -322,6 +322,8 @@ class CacheModel
 
     TagArray tags;
     MshrTable mshr;
+    /** An L2 fill's waiters on their way to respQ (reused). */
+    std::vector<MshrWaiter> l2Woken;
     BoundedQueue<MemFetch *> missQ;
     TimedQueue<MemFetch *> respQ;
     Cycle portFreeAt = 0;

@@ -4,75 +4,53 @@ namespace bwsim
 {
 
 MshrTable::MshrTable(std::uint32_t num_entries, std::uint32_t max_merge)
-    : entries(num_entries), maxMerge(max_merge)
+    : entries(num_entries), maxMerge(max_merge), keys(num_entries),
+      dirty(num_entries), waiters(num_entries)
 {
     bwsim_assert(num_entries > 0, "MSHR needs at least one entry");
     bwsim_assert(max_merge > 0, "MSHR merge limit must be positive");
-    table.reserve(num_entries * 2);
 }
 
-void
+int
 MshrTable::allocate(Addr line_addr)
 {
-    bwsim_assert(table.size() < entries, "MSHR allocate on a full table");
+    bwsim_assert(live < entries, "MSHR allocate on a full table");
     bwsim_assert(!hasEntry(line_addr),
                  "MSHR allocate for already-tracked line 0x%llx",
                  static_cast<unsigned long long>(line_addr));
-    table.emplace(line_addr, Entry{});
+    keys[live] = line_addr;
+    dirty[live] = 0;
+    return static_cast<int>(live++);
 }
 
 void
-MshrTable::addWaiter(Addr line_addr, const MshrWaiter &waiter)
+MshrTable::addWaiter(int e, const MshrWaiter &waiter)
 {
-    auto it = table.find(line_addr);
-    bwsim_assert(it != table.end(), "MSHR addWaiter with no entry for 0x%llx",
-                 static_cast<unsigned long long>(line_addr));
-    bwsim_assert(it->second.waiters.size() < maxMerge,
-                 "MSHR merge past the merge limit");
-    it->second.waiters.push_back(waiter);
-}
-
-std::size_t
-MshrTable::waiterCount(Addr line_addr) const
-{
-    auto it = table.find(line_addr);
-    return it == table.end() ? 0 : it->second.waiters.size();
+    auto &list = waiters[checked(e)];
+    bwsim_assert(list.size() < maxMerge, "MSHR merge past the merge limit");
+    list.push_back(waiter);
 }
 
 void
-MshrTable::markDirtyOnFill(Addr line_addr)
+MshrTable::fill(int e, std::vector<MshrWaiter> &out)
 {
-    auto it = table.find(line_addr);
-    bwsim_assert(it != table.end(),
-                 "markDirtyOnFill with no entry for 0x%llx",
-                 static_cast<unsigned long long>(line_addr));
-    it->second.dirtyOnFill = true;
-}
-
-bool
-MshrTable::isDirtyOnFill(Addr line_addr) const
-{
-    auto it = table.find(line_addr);
-    return it != table.end() && it->second.dirtyOnFill;
-}
-
-void
-MshrTable::fill(Addr line_addr, std::vector<MshrWaiter> &out)
-{
-    auto it = table.find(line_addr);
-    bwsim_assert(it != table.end(), "MSHR fill with no entry for 0x%llx",
-                 static_cast<unsigned long long>(line_addr));
-    for (auto &w : it->second.waiters)
-        out.push_back(w);
-    table.erase(it);
+    const std::size_t i = checked(e);
+    out.insert(out.end(), waiters[i].begin(), waiters[i].end());
+    waiters[i].clear();
+    const std::uint32_t last = --live;
+    if (i != last) {
+        keys[i] = keys[last];
+        dirty[i] = dirty[last];
+        waiters[i].swap(waiters[last]);
+    }
 }
 
 std::size_t
 MshrTable::totalWaiters() const
 {
     std::size_t n = 0;
-    for (const auto &kv : table)
-        n += kv.second.waiters.size();
+    for (std::uint32_t i = 0; i < live; ++i)
+        n += waiters[i].size();
     return n;
 }
 

@@ -13,7 +13,6 @@
 #define BWSIM_CACHE_MSHR_HH
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "common/log.hh"
@@ -37,6 +36,15 @@ struct MshrWaiter
     bool isInstFetch = false;
 };
 
+/**
+ * A fixed-capacity flat table: entries live densely in slots
+ * [0, size()), so a lookup is one short scan over packed line
+ * addresses, and nothing is allocated after the waiter lists have
+ * grown to their working size (a completed entry's list keeps its
+ * capacity for the next miss). Entries are addressed by the index
+ * find() or allocate() returns, so a caller that needs several facts
+ * about one entry looks it up once.
+ */
 class MshrTable
 {
   public:
@@ -46,66 +54,77 @@ class MshrTable
      */
     MshrTable(std::uint32_t num_entries, std::uint32_t max_merge);
 
+    /** Index of the in-flight entry for @p line_addr, or -1. An
+     *  index stays valid until the next fill(). */
+    int
+    find(Addr line_addr) const
+    {
+        for (std::uint32_t i = 0; i < live; ++i)
+            if (keys[i] == line_addr)
+                return static_cast<int>(i);
+        return -1;
+    }
+
     /** True if a fill for @p line_addr is already in flight. */
+    bool hasEntry(Addr line_addr) const { return find(line_addr) >= 0; }
+
+    /** Allocate an (empty) entry for a new miss and return its index;
+     *  the table must not be full. */
+    int allocate(Addr line_addr);
+
+    /** Entry @p e can take another waiter. */
     bool
-    hasEntry(Addr line_addr) const
+    canMerge(int e) const
     {
-        return table.find(line_addr) != table.end();
+        return waiters[checked(e)].size() < maxMerge;
     }
 
-    /** A waiter can merge into an existing entry for @p line_addr. */
-    bool
-    canMerge(Addr line_addr) const
+    /** Add a waiter to entry @p e (canMerge(e) must hold). */
+    void addWaiter(int e, const MshrWaiter &waiter);
+
+    /** Waiters currently attached to entry @p e. */
+    std::size_t
+    waiterCount(int e) const
     {
-        auto it = table.find(line_addr);
-        return it != table.end() && it->second.waiters.size() < maxMerge;
+        return waiters[checked(e)].size();
     }
 
-    /** A new access would need a fresh entry (i.e. no merge target). */
-    bool
-    wouldAllocate(Addr line_addr) const
-    {
-        return table.find(line_addr) == table.end();
-    }
+    /** Record that a store merged into entry @p e's pending fill
+     *  (write-allocate). */
+    void markDirtyOnFill(int e) { dirty[checked(e)] = 1; }
 
-    /** Allocate an (empty) entry for a new miss; table must not be full. */
-    void allocate(Addr line_addr);
-
-    /** Add a waiter to an existing entry. canMerge must hold, except
-     *  immediately after allocate() where the entry is empty. */
-    void addWaiter(Addr line_addr, const MshrWaiter &waiter);
-
-    /** Waiters currently attached to @p line_addr's entry (0 if none). */
-    std::size_t waiterCount(Addr line_addr) const;
-
-    /** Record that a store merged into the pending fill (write-alloc). */
-    void markDirtyOnFill(Addr line_addr);
-
-    bool isDirtyOnFill(Addr line_addr) const;
+    bool isDirtyOnFill(int e) const { return dirty[checked(e)] != 0; }
 
     /**
-     * Complete the fill for @p line_addr: removes the entry and moves
-     * its waiters into @p out (appended in merge order).
+     * Complete entry @p e's fill: appends its waiters to @p out in
+     * merge order and removes it. The last entry moves into slot
+     * @p e, so every other index is invalidated.
      */
-    void fill(Addr line_addr, std::vector<MshrWaiter> &out);
+    void fill(int e, std::vector<MshrWaiter> &out);
 
-    std::size_t size() const { return table.size(); }
+    std::size_t size() const { return live; }
     std::uint32_t capacity() const { return entries; }
-    bool full() const { return table.size() >= entries; }
+    bool full() const { return live >= entries; }
 
     /** Total waiters across all entries (for occupancy stats/tests). */
     std::size_t totalWaiters() const;
 
   private:
-    struct Entry
+    std::size_t
+    checked(int e) const
     {
-        std::vector<MshrWaiter> waiters;
-        bool dirtyOnFill = false;
-    };
+        bwsim_assert(e >= 0 && static_cast<std::uint32_t>(e) < live,
+                     "MSHR entry index %d outside [0, %u)", e, live);
+        return static_cast<std::size_t>(e);
+    }
 
     std::uint32_t entries;
     std::uint32_t maxMerge;
-    std::unordered_map<Addr, Entry> table;
+    std::uint32_t live = 0;
+    /** Per slot, dense in [0, live): line, dirty bit, waiter list. */
+    std::vector<Addr> keys;
+    std::vector<std::uint8_t> dirty;
+    std::vector<std::vector<MshrWaiter>> waiters;
 };
 
 } // namespace bwsim

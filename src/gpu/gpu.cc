@@ -22,6 +22,8 @@ Gpu::Gpu(const GpuConfig &config, const WorkloadSpec &workload)
                  cfg.maxWarpsPerCore);
 
     ctasRemaining = prof.numCtas;
+    coreSleep.resize(cfg.numCores);
+    allCores = ~std::uint64_t(0) >> (64 - cfg.numCores);
 
     for (int c = 0; c < cfg.numCores; ++c) {
         CoreParams cp = cfg.coreParams(c);
@@ -160,65 +162,101 @@ void
 Gpu::coreTick()
 {
     const std::uint64_t prev = coreCycleCount++;
-    double now_ps = clocks.nowPs();
-    for (int c = 0; c < cfg.numCores; ++c) {
+    const double now_ps = clocks.nowPs();
+    std::uint64_t visit = allCores & ~asleepMask;
+    if (asleepMask != 0) {
+        visit |= memSys->coreWakeMask(outgoingMask);
+        if (prev >= nextTimedWake)
+            visit |= timedWakes(prev);
+    }
+    for (std::uint64_t m = visit; m; m &= m - 1) {
+        const int c = __builtin_ctzll(m);
+        const std::uint64_t bit = std::uint64_t(1) << c;
         SmCore &core = *cores[c];
-        if (sleepEnabled) {
-            // Asleep, this cycle's deliver/tick/accept would be no-ops
-            // plus the counter charges skipCycles() reproduces -- the
-            // same three pins coreQuiesceHorizon() checks, taken at the
-            // point in the instant where they would act.
-            CoreSleep &s = coreSleep[c];
-            if (prev < s.wakeAt && memSys->coreHorizon(c, prev) != 0 &&
-                !(core.hasOutgoing() && !memSys->requestPortBlocked(c))) {
-                ++s.owed;
-                continue;
-            }
-            flushSleep(c);
+        if (asleepMask & bit) {
+            chargeSleep(c, prev);
+            asleepMask &= ~bit;
         }
         memSys->deliverResponses(c, core, now_ps, coreCycleCount);
         core.tick(now_ps);
         memSys->acceptRequests(c, core, now_ps, coreCycleCount);
-        if (sleepEnabled) {
-            // A zero horizon leaves wakeAt at this cycle: awake.
-            const std::uint64_t h = core.quiesceHorizon();
-            coreSleep[c].wakeAt = h == kInfiniteHorizon
-                                      ? kInfiniteHorizon
-                                      : coreCycleCount + h;
-        }
+        outgoingMask = core.hasOutgoing() ? (outgoingMask | bit)
+                                          : (outgoingMask & ~bit);
+        if (sleepEnabled)
+            maybeSleep(c);
     }
 }
 
 void
-Gpu::flushSleep(int c)
+Gpu::maybeSleep(int c)
+{
+    // Asleep, each cycle's deliver/tick/accept would be no-ops plus
+    // the counter charges skipCycles() reproduces, until the SM's own
+    // horizon or an ideal pipe's maturity comes due (both fixed until
+    // its next visit) or coreWakeMask() names it.
+    std::uint64_t h = cores[c]->quiesceHorizon();
+    if (h == 0)
+        return;
+    h = std::min(h, memSys->coreHorizon(c, coreCycleCount));
+    if (h == 0)
+        return;
+    CoreSleep &s = coreSleep[c];
+    s.wakeAt = h == kInfiniteHorizon ? kInfiniteHorizon
+                                     : coreCycleCount + h;
+    s.sleptFrom = coreCycleCount;
+    nextTimedWake = std::min(nextTimedWake, s.wakeAt);
+    asleepMask |= std::uint64_t(1) << c;
+}
+
+std::uint64_t
+Gpu::timedWakes(std::uint64_t prev)
+{
+    std::uint64_t woken = 0;
+    nextTimedWake = kInfiniteHorizon;
+    for (std::uint64_t m = asleepMask; m; m &= m - 1) {
+        const int c = __builtin_ctzll(m);
+        if (prev >= coreSleep[c].wakeAt)
+            woken |= std::uint64_t(1) << c;
+        else
+            nextTimedWake = std::min(nextTimedWake, coreSleep[c].wakeAt);
+    }
+    return woken;
+}
+
+void
+Gpu::chargeSleep(int c, std::uint64_t through)
 {
     CoreSleep &s = coreSleep[c];
-    if (s.owed == 0)
+    const std::uint64_t owed = through - s.sleptFrom;
+    if (owed == 0)
         return;
-    cores[c]->skipCycles(s.owed);
-    sleptCycles += s.owed;
-    s.owed = 0;
+    cores[c]->skipCycles(owed);
+    sleptCycles += owed;
+    s.sleptFrom = through;
 }
 
 void
 Gpu::flushSleep()
 {
-    if (!sleepEnabled)
-        return;
-    for (int c = 0; c < cfg.numCores; ++c)
-        flushSleep(c);
+    for (std::uint64_t m = asleepMask; m; m &= m - 1)
+        chargeSleep(__builtin_ctzll(m), coreCycleCount);
 }
 
 std::uint64_t
 Gpu::coreQuiesceHorizon()
 {
+    // A reply ready for some core, or a pending miss its port can
+    // take, pins the horizon before any core state is read (and
+    // before sleeping cores need charging).
+    if (memSys->coreWakeMask(outgoingMask) != 0)
+        return 0;
     flushSleep();
 
     // Cheapest rejections first: a busy core (memoized inside SmCore)
-    // or a pending outgoing miss pins the horizon before the
-    // MemSystem's reply-readiness scan is consulted. The scan starts
-    // at the core that vetoed last time -- an active core usually
-    // stays active, so a pinned horizon is rediscovered in one probe.
+    // pins the horizon before the MemSystem's pipe maturities are
+    // consulted. The scan starts at the core that vetoed last time --
+    // an active core usually stays active, so a pinned horizon is
+    // rediscovered in one probe.
     std::uint64_t h = kInfiniteHorizon;
     for (int i = 0; i < cfg.numCores; ++i) {
         int c = lastCoreVeto + i;
@@ -230,14 +268,6 @@ Gpu::coreQuiesceHorizon()
             return 0;
         }
         h = std::min(h, ch);
-        // A pending outgoing miss only pins the horizon if the network
-        // can actually accept it: a blocked injection attempt is a
-        // pure no-op, frozen until an icnt tick frees the port (which
-        // invalidates this horizon via the affects map).
-        if (cores[c]->hasOutgoing() && !memSys->requestPortBlocked(c)) {
-            lastCoreVeto = c;
-            return 0;
-        }
         std::uint64_t mh = memSys->coreHorizon(c, coreCycleCount);
         if (mh == 0) {
             lastCoreVeto = c;
@@ -254,8 +284,10 @@ Gpu::coreSkip(std::uint64_t n)
     flushSleep();
     coreCycleCount += n;
     bool fused = false;
-    for (int c = 0; c < cfg.numCores; ++c)
+    for (int c = 0; c < cfg.numCores; ++c) {
         fused |= cores[c]->skipCycles(n);
+        coreSleep[c].sleptFrom += n; // charged just now
+    }
     if (fused)
         recordFusedSpan(n);
 }
@@ -291,7 +323,7 @@ Gpu::run()
     const auto prof0 = tickProf;
     const auto wall0 = std::chrono::steady_clock::now();
     sleepEnabled = skip;
-    coreSleep.assign(cfg.numCores, CoreSleep{});
+    nextTimedWake = kInfiniteHorizon;
     sleptCycles = 0;
 
     while (!allWorkDone()) {
@@ -314,6 +346,7 @@ Gpu::run()
         }
     }
     flushSleep();
+    asleepMask = 0;
     sleepEnabled = false;
 
     const auto wall_ns =

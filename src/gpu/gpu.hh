@@ -98,32 +98,54 @@ class Gpu : public WorkSource
      *
      * The core domain as a whole rarely quiesces -- one busy SM pins
      * it -- but most individual SMs spend most cycles provably idle.
-     * After its tick, an SM whose own quiesceHorizon() is positive
-     * falls asleep: later core cycles only run a wake check (horizon
-     * expired, a reply deliverable, or a pending miss able to inject)
-     * and otherwise count an owed cycle. The owed cycles are charged
-     * with one SmCore::skipCycles() when the SM wakes.
+     * After its visit, an SM whose own quiesceHorizon() and the
+     * MemSystem's coreHorizon() are both positive falls asleep until
+     * the earlier of the two expires. coreTick() then visits only the
+     * awake SMs plus those MemSystem::coreWakeMask() names, in
+     * ascending core order; the slept cycles are charged with one
+     * SmCore::skipCycles() when the SM wakes.
      *
-     * Invariant: owed cycles are flushed before anything reads core
-     * counters or horizons -- the wake-up tick, coreQuiesceHorizon(),
+     * The mask is exact because of what can change while an SM
+     * sleeps. Its own state, its pending misses (outgoingMask) and an
+     * ideal pipe's next maturity change only during its own visit,
+     * so they are folded into wakeAt (or kept in outgoingMask) when
+     * it falls asleep. A reply arriving or its injection port freeing
+     * happens at icnt ticks, and reaches it only through the
+     * crossbar's eject-ready / inject-full bitmasks behind
+     * coreWakeMask().
+     *
+     * Invariant: slept cycles are charged before anything reads core
+     * counters or horizons -- the wake-up visit, coreQuiesceHorizon(),
      * coreSkip() and the end of run() (so harvest() and dumpStats()
-     * see lockstep-identical state). runCycles() never sleeps.
+     * see lockstep-identical state). runCycles() and lockstep run the
+     * same loop with nothing ever asleep.
      */
     /**@{*/
     struct CoreSleep
     {
-        /** Last core cycle the SM's horizon covers (asleep while the
-         *  cycle being ticked is at most this). */
+        /** Last core cycle the SM's folded horizon covers (asleep
+         *  while the cycle being ticked is at most this). */
         std::uint64_t wakeAt = 0;
-        /** Cycles slept since the last flush. */
-        std::uint64_t owed = 0;
+        /** Core cycle through which its cycles have been charged:
+         *  owed cycles = cycle - sleptFrom. */
+        std::uint64_t sleptFrom = 0;
     };
-    /** Charge every SM's owed cycles (their wake cycles stand). */
+    /** Charge SM @p c's cycles owed through core cycle @p through. */
+    void chargeSleep(int c, std::uint64_t through);
+    /** Charge every sleeping SM through the current cycle. */
     void flushSleep();
-    /** Charge SM @p c's owed cycles. */
-    void flushSleep(int c);
+    /** Put SM @p c to sleep if its folded horizon is positive. */
+    void maybeSleep(int c);
+    /** Sleeping SMs whose wake cycle has come on cycle @p prev + 1. */
+    std::uint64_t timedWakes(std::uint64_t prev);
     bool sleepEnabled = false;
     std::vector<CoreSleep> coreSleep;
+    std::uint64_t allCores = 0;   ///< one bit per SM
+    std::uint64_t asleepMask = 0; ///< SMs asleep right now
+    /** SMs holding a pending outgoing miss after their last visit. */
+    std::uint64_t outgoingMask = 0;
+    /** No sleeping SM's wakeAt is below this (it may run early). */
+    std::uint64_t nextTimedWake = kInfiniteHorizon;
     /** SM ticks replaced by bulk charges in the current run(). */
     std::uint64_t sleptCycles = 0;
     /**@}*/

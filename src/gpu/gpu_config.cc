@@ -162,8 +162,6 @@ GpuConfig::addressMap() const
 void
 GpuConfig::validate() const
 {
-    if (numCores <= 0 || maxWarpsPerCore <= 0)
-        fatal("config '%s': no cores or warps", name.c_str());
     if (!isPowerOf2(lineBytes))
         fatal("config '%s': line size %u not a power of two", name.c_str(),
               lineBytes);
@@ -178,6 +176,24 @@ GpuConfig::validate() const
               "dividing the %u-byte line",
               name.c_str(), sectorBytes, lineBytes);
     }
+    // The core shape the SM can run: cores and warps index 64-bit
+    // masks, and the I-buffer depth is a uint8_t count.
+    auto need = [this](bool ok, const char *field, int value,
+                       const char *range) {
+        if (!ok) {
+            fatal("config '%s': %s = %d, must be %s", name.c_str(), field,
+                  value, range);
+        }
+    };
+    need(numCores >= 1 && numCores <= 64, "numCores", numCores, "in 1..64");
+    need(maxWarpsPerCore >= 1 && maxWarpsPerCore <= 64, "maxWarpsPerCore",
+         maxWarpsPerCore, "in 1..64");
+    need(numSchedulers >= 1, "numSchedulers", numSchedulers, ">= 1");
+    need(fetchWidth >= 1, "fetchWidth", fetchWidth, ">= 1");
+    need(memPipelineWidth >= 1, "memPipelineWidth", memPipelineWidth,
+         ">= 1");
+    need(ibufferEntries >= 1 && ibufferEntries <= 255, "ibufferEntries",
+         ibufferEntries, "in 1..255");
 }
 
 GpuConfig

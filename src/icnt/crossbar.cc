@@ -93,6 +93,8 @@ CrossbarNetwork::inject(std::uint32_t src, std::uint32_t dst, MemFetch *mf,
                  cfg.name.c_str());
     if (injQ[src].size() == 1)
         headArrived(src);
+    if (injQ[src].full())
+        injFullMask |= std::uint64_t(1) << src;
     if (mf->tInjected == 0)
         mf->tInjected = now_ps;
     ++ctr.packetsInjected;
@@ -121,6 +123,7 @@ CrossbarNetwork::tick()
             bwsim_assert(reservedEj[d] > 0, "reservation underflow");
             --reservedEj[d];
             ++ctr.packetsEjected;
+            ejReadyMask |= std::uint64_t(1) << d;
         }
         if (pipe.empty())
             transitMask &= ~(std::uint64_t(1) << d);
@@ -175,6 +178,7 @@ CrossbarNetwork::tick()
         ++ctr.flitsTransferred;
         if (head.flitsLeft == 0) {
             Packet done = injQ[src].pop();
+            injFullMask &= ~(std::uint64_t(1) << src);
             headConsumed(static_cast<std::uint32_t>(src), d);
             transit[d].push(done, cycle + cfg.transitLatency);
             transitMask |= std::uint64_t(1) << d;
@@ -200,6 +204,8 @@ MemFetch *
 CrossbarNetwork::ejectPop(std::uint32_t dst)
 {
     Packet p = ejQ.at(dst).pop();
+    if (ejQ[dst].empty())
+        ejReadyMask &= ~(std::uint64_t(1) << dst);
     ctr.bytesEjected += p.bytes;
     return p.mf;
 }

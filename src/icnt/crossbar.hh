@@ -105,6 +105,15 @@ class CrossbarNetwork
     MemFetch *ejectPop(std::uint32_t dst);
     /**@}*/
 
+    /** @name Port-state bitmasks (kept where the queues change)
+     *  Bit d of ejectReadyMask() equals ejectReady(d); bit s of
+     *  injectFullMask() equals !canAccept(s). Lets an owner find every
+     *  port with work in a few word operations instead of a scan. */
+    /**@{*/
+    std::uint64_t ejectReadyMask() const { return ejReadyMask; }
+    std::uint64_t injectFullMask() const { return injFullMask; }
+    /**@}*/
+
     /** Total packets resident anywhere in this network (for drains). */
     std::size_t packetsInFlight() const;
 
@@ -186,6 +195,8 @@ class CrossbarNetwork
     std::uint64_t wantedDests = 0;
     std::uint64_t grantMask = 0;
     std::uint64_t transitMask = 0;
+    std::uint64_t ejReadyMask = 0; ///< dests with a non-empty ejQ
+    std::uint64_t injFullMask = 0; ///< sources with a full injQ
     void headArrived(std::uint32_t src);
     void headConsumed(std::uint32_t src, std::uint32_t dst);
     /**@}*/

@@ -180,20 +180,13 @@ NormalMemSystem::dramTick(double now_ps)
 }
 
 std::uint64_t
-NormalMemSystem::coreHorizon(int core_id, std::uint64_t) const
+NormalMemSystem::coreWakeMask(std::uint64_t outgoing) const
 {
-    // The only core-tick action here is popping one ready reply;
-    // replies only become ready at icnt ticks, which invalidate this.
-    return icnt->reply().ejectReady(static_cast<std::uint32_t>(core_id))
-               ? 0
-               : kInfiniteHorizon;
-}
-
-bool
-NormalMemSystem::requestPortBlocked(int core_id) const
-{
-    return !icnt->request().canAccept(
-        static_cast<std::uint32_t>(core_id));
+    // Reply-network destinations and request-network sources are the
+    // core ids. Both masks change only at icnt ticks and at the
+    // owning core's own pop/inject.
+    return icnt->reply().ejectReadyMask() |
+           (outgoing & ~icnt->request().injectFullMask());
 }
 
 std::uint64_t
@@ -332,8 +325,8 @@ IdealMemSystem::service(int core_id, SmCore &core, double now_ps,
 std::uint64_t
 IdealMemSystem::coreHorizon(int core_id, std::uint64_t core_cycle) const
 {
-    // New outgoing misses pin the Gpu-side horizon at 0 (hasOutgoing),
-    // so only pipe maturities matter here. Pipes are keyed on the
+    // service() leaves no outgoing miss behind, so only pipe
+    // maturities matter here. Pipes are keyed on the
     // pre-incremented core cycle: an entry ready at X is delivered on
     // the tick that makes the counter X.
     std::uint64_t h = kInfiniteHorizon;

@@ -88,8 +88,11 @@ class MemSystem
      * (non-trivial) charges.
      */
     /**@{*/
-    /** Edges until this system could next act on @p core_id's tick
-     *  (deliver a response or mature an ideal-pipe entry). */
+    /**
+     * Edges until a *time-based* event in this system could act on
+     * @p core_id's tick (an ideal-pipe entry maturing). Events that
+     * depend on shared port state are coreWakeMask()'s business.
+     */
     virtual std::uint64_t
     coreHorizon(int core_id, std::uint64_t core_cycle) const
     {
@@ -98,17 +101,26 @@ class MemSystem
         return 0;
     }
     /**
-     * True iff @p core_id's request injection port cannot accept a
-     * packet right now: a core with pending outgoing misses may keep
-     * skipping across such a span (the blocked injection attempt is a
-     * pure no-op, and only an icnt tick -- which invalidates the core
-     * horizon -- can free the port). The conservative default makes a
-     * pending miss always pin the horizon.
+     * Cores whose next tick this system could act on right now
+     * through port state: a reply ready to deliver, or a pending miss
+     * (bit set in @p outgoing, one bit per core) that the request port
+     * can take. A pending miss facing a full port is a pure no-op
+     * attempt, frozen until an icnt tick frees the port, so that core
+     * may keep skipping. The conservative default wakes every core
+     * with a pending miss.
+     *
+     * Per-SM sleep relies on this split: a sleeping core's pending
+     * misses and its coreHorizon() change only during its own visit
+     * (deliverResponses / tick / acceptRequests), so the Gpu folds the
+     * horizon into the core's wake cycle when it falls asleep and
+     * keeps @p outgoing itself. Everything else that can wake it --
+     * a reply arriving, its injection port freeing -- must show up in
+     * this mask, which is read once per core cycle.
      */
-    virtual bool requestPortBlocked(int core_id) const
+    virtual std::uint64_t
+    coreWakeMask(std::uint64_t outgoing) const
     {
-        (void)core_id;
-        return false;
+        return outgoing;
     }
     virtual std::uint64_t icntHorizon() const { return 0; }
     virtual std::uint64_t dramHorizon() const { return 0; }
@@ -145,9 +157,13 @@ class NormalMemSystem : public MemSystem
     void dramTick(double now_ps) override;
     bool drained() const override;
 
-    std::uint64_t coreHorizon(int core_id,
-                              std::uint64_t core_cycle) const override;
-    bool requestPortBlocked(int core_id) const override;
+    /** Every core-side event here is crossbar port state. */
+    std::uint64_t
+    coreHorizon(int, std::uint64_t) const override
+    {
+        return kInfiniteHorizon;
+    }
+    std::uint64_t coreWakeMask(std::uint64_t outgoing) const override;
     std::uint64_t icntHorizon() const override;
     std::uint64_t dramHorizon() const override;
     bool icntSkip(std::uint64_t n) override;
@@ -198,6 +214,9 @@ class IdealMemSystem : public MemSystem
     /** Icnt/DRAM ticks are empty here: every edge is skippable. */
     std::uint64_t coreHorizon(int core_id,
                               std::uint64_t core_cycle) const override;
+    /** service() drains every miss during the core's own visit, and
+     *  the pipes mature on coreHorizon()'s time base. */
+    std::uint64_t coreWakeMask(std::uint64_t) const override { return 0; }
     std::uint64_t icntHorizon() const override { return kInfiniteHorizon; }
     std::uint64_t dramHorizon() const override { return kInfiniteHorizon; }
     bool icntSkip(std::uint64_t) override { return false; }

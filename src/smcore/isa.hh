@@ -13,6 +13,7 @@
 #define BWSIM_SMCORE_ISA_HH
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "common/types.hh"
@@ -50,6 +51,17 @@ struct WarpInstData
     std::uint32_t storeBytes = 32;
 
     bool isMem() const { return op == Op::Load || op == Op::Store; }
+
+    /** Back to the defaults, keeping lineAddrs' capacity (assigning a
+     *  fresh WarpInstData would free it). */
+    void
+    reset()
+    {
+        WarpInstData fresh;
+        lineAddrs.clear();
+        fresh.lineAddrs.swap(lineAddrs);
+        *this = std::move(fresh);
+    }
 };
 
 /**
@@ -62,7 +74,11 @@ class TraceCursor
   public:
     virtual ~TraceCursor() = default;
 
-    /** Produce the next instruction; false when the warp has exited. */
+    /**
+     * Produce the next instruction into @p out, overwriting every
+     * field (the core refills its I-buffer slots in place); false
+     * when the warp has exited.
+     */
     virtual bool next(WarpInstData &out) = 0;
 
     /** PC of the next instruction (valid until the stream ends). */

@@ -13,6 +13,8 @@ SmCore::SmCore(const CoreParams &params, MemFetchAllocator *allocator)
     : cfg(params), alloc(allocator),
       warps(params.maxWarps),
       wflags(params.maxWarps, 0),
+      ibufSlots(std::size_t(params.maxWarps) * params.ibufferEntries),
+      ibufHead(params.maxWarps, 0),
       ibufCnt(params.maxWarps, 0),
       headDest(params.maxWarps, -1),
       headSrc(params.maxWarps, -1),
@@ -35,6 +37,9 @@ SmCore::SmCore(const CoreParams &params, MemFetchAllocator *allocator)
                  cfg.coreId);
     bwsim_assert(cfg.memPipelineWidth > 0,
                  "core %d: memory pipeline needs width", cfg.coreId);
+    bwsim_assert(cfg.ibufferEntries > 0 && cfg.ibufferEntries <= 255,
+                 "core %d: I-buffer depth %d outside 1..255", cfg.coreId,
+                 cfg.ibufferEntries);
     for (int w = 0; w < cfg.maxWarps; ++w)
         schedMask[w % cfg.numSchedulers] |= std::uint64_t(1) << w;
 
@@ -110,12 +115,21 @@ assignBit(std::uint64_t &mask, int bit, bool on)
 
 } // namespace
 
+WarpInstData &
+SmCore::ibufAt(int warp, int k)
+{
+    int i = ibufHead[warp] + k;
+    if (i >= cfg.ibufferEntries)
+        i -= cfg.ibufferEntries;
+    return ibufSlots[std::size_t(warp) * cfg.ibufferEntries + i];
+}
+
 void
 SmCore::syncHead(int warp)
 {
     if (ibufCnt[warp] == 0)
         return;
-    const WarpInstData &inst = warps[warp].ibuf.front();
+    const WarpInstData &inst = ibufAt(warp, 0);
     headDest[warp] = static_cast<std::int16_t>(inst.dest);
     headSrc[warp] = static_cast<std::int16_t>(inst.src);
     assignBit(headMemMask, warp, inst.isMem());
@@ -185,7 +199,7 @@ SmCore::maybeDispatchCtas()
                 continue;
             Warp &warp = warps[w];
             warp.cursor = work.makeCursor(launched);
-            warp.ibuf.clear();
+            ibufHead[w] = 0;
             warp.ctaSlot = cta_slot;
             warp.age = ageCounter++;
             warpPendingLsu[w] = 0;
@@ -255,10 +269,8 @@ SmCore::fetchStage(double now_ps)
                 line) {
                 break; // next instruction is on another line
             }
-            WarpInstData inst;
-            bool ok = warp.cursor->next(inst);
+            bool ok = warp.cursor->next(ibufAt(w, ibufCnt[w]));
             bwsim_assert(ok, "cursor lied about done()");
-            warp.ibuf.push_back(std::move(inst));
             ++ibufCnt[w];
         }
         if (was_empty)
@@ -299,29 +311,25 @@ SmCore::allocPendingOp(int warp, bool write, int dest_reg,
     return idx;
 }
 
-int
-SmCore::lsuAllocSlot(int warp, const WarpInstData &inst)
+void
+SmCore::lsuAllocSlot(int warp, WarpInstData &inst)
 {
-    for (int i = 0; i < int(lsu.size()); ++i) {
-        if (lsu[i].valid)
-            continue;
-        LsuSlot &s = lsu[i];
-        s.valid = true;
-        s.warpId = warp;
-        s.write = (inst.op == Op::Store);
-        s.addrs = inst.lineAddrs;
-        s.nextIdx = 0;
-        s.storeBytes = inst.storeBytes;
-        s.seq = lsuSeq++;
-        bwsim_assert(!s.addrs.empty(),
-                     "memory instruction with no accesses");
-        s.pendingIdx = allocPendingOp(
-            warp, s.write, s.write ? -1 : inst.dest,
-            static_cast<std::uint32_t>(s.addrs.size()));
-        ++lsuOccupied;
-        return i;
-    }
-    panic("lsuAllocSlot with no free slot");
+    bwsim_assert(lsuHasFreeSlot(), "lsuAllocSlot with no free slot");
+    int i = lsuHead + lsuOccupied;
+    if (i >= int(lsu.size()))
+        i -= int(lsu.size());
+    LsuSlot &s = lsu[i];
+    s.warpId = warp;
+    s.write = (inst.op == Op::Store);
+    s.addrs.swap(inst.lineAddrs);
+    s.nextIdx = 0;
+    s.storeBytes = inst.storeBytes;
+    s.seq = lsuSeq++;
+    bwsim_assert(!s.addrs.empty(), "memory instruction with no accesses");
+    s.pendingIdx = allocPendingOp(
+        warp, s.write, s.write ? -1 : inst.dest,
+        static_cast<std::uint32_t>(s.addrs.size()));
+    ++lsuOccupied;
 }
 
 void
@@ -344,7 +352,8 @@ SmCore::rebuildSchedLists()
 void
 SmCore::popIbufHead(int warp)
 {
-    warps[warp].ibuf.pop_front();
+    if (++ibufHead[warp] == cfg.ibufferEntries)
+        ibufHead[warp] = 0;
     if (--ibufCnt[warp] == 0) {
         if (wflags[warp] & WfCursorDone)
             retireDirty = true;
@@ -404,8 +413,7 @@ SmCore::issueStage()
             w = list[(start + k) % list.size()];
         }
 
-        Warp &warp = warps[w];
-        const WarpInstData &inst = warp.ibuf.front();
+        WarpInstData &inst = ibufAt(w, 0);
         if (inst.isMem()) {
             lsuAllocSlot(w, inst);
             if (inst.op == Op::Load) {
@@ -497,11 +505,7 @@ SmCore::memStage(double now_ps)
         return;
 
     // Present the oldest buffered access to the L1D (one per cycle).
-    int oldest = oldestLsuSlot();
-    if (oldest < 0)
-        return;
-
-    LsuSlot &s = lsu[oldest];
+    LsuSlot &s = lsu[lsuHead];
 
     // Batched retry: a stalled L1D access leaves the cache untouched,
     // and L1 stall outcomes are pure functions of cache state (no data
@@ -547,8 +551,9 @@ SmCore::memStage(double now_ps)
     if (s.nextIdx >= s.addrs.size()) {
         // All accesses accepted: free the buffer slot; the PendingMemOp
         // lives on until the tail access completes.
-        s.valid = false;
         s.addrs.clear();
+        if (++lsuHead == int(lsu.size()))
+            lsuHead = 0;
         --lsuOccupied;
     }
     switch (out) {
@@ -564,23 +569,6 @@ SmCore::memStage(double now_ps)
       default:
         panic("unexpected L1D outcome %s", cacheOutcomeName(out));
     }
-}
-
-int
-SmCore::oldestLsuSlot() const
-{
-    int oldest = -1;
-    std::uint64_t best_seq = ~std::uint64_t(0);
-    for (int i = 0; i < int(lsu.size()); ++i) {
-        const LsuSlot &s = lsu[i];
-        if (!s.valid)
-            continue;
-        if (s.seq < best_seq) {
-            best_seq = s.seq;
-            oldest = i;
-        }
-    }
-    return oldest;
 }
 
 void
@@ -707,8 +695,7 @@ SmCore::computeQuiesceHorizon()
     // bulk by skipCycles(). An unmemoized (or stale) access must tick
     // to re-probe.
     if (lsuOccupied > 0) {
-        int oldest = oldestLsuSlot();
-        const LsuSlot &s = lsu[oldest];
+        const LsuSlot &s = lsu[lsuHead];
         if (!(memRetryValid && l1dCache->version() == memRetryVer &&
               s.seq == memRetrySeq && s.nextIdx == memRetryIdx)) {
             return 0;
@@ -826,12 +813,6 @@ SmCore::done() const
     return aluInflight == 0 && sfuInflight == 0;
 }
 
-bool
-SmCore::hasOutgoing() const
-{
-    return !l1dCache->missQueueEmpty() || !l1iCache->missQueueEmpty();
-}
-
 MemFetch *
 SmCore::peekOutgoing()
 {
@@ -884,11 +865,11 @@ SmCore::deliverResponse(MemFetch *mf, double now_ps)
         return;
     }
 
-    std::vector<MshrWaiter> woken;
+    fillWoken.clear();
     CacheModel &target = mf->isInstFetch() ? *l1iCache : *l1dCache;
-    bool ok = target.fill(mf, cycle, now_ps, woken);
+    bool ok = target.fill(mf, cycle, now_ps, fillWoken);
     bwsim_assert(ok, "L1 fill refused (L1s have no response queue)");
-    for (const auto &w : woken) {
+    for (const auto &w : fillWoken) {
         if (w.isInstFetch) {
             bwsim_assert(wflags[w.warpId] & WfWaitingIFetch,
                          "I-fetch wake for a warp that is not waiting");

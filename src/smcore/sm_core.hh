@@ -23,7 +23,11 @@
  *
  * Implementation note: per-warp hot state is mirrored in compact
  * parallel arrays (flags, I-buffer depth) so the per-cycle scheduler
- * and fetch scans stay cache-friendly at 48 warps x 15 cores.
+ * and fetch scans stay cache-friendly at 48 warps x 15 cores. The
+ * I-buffers and the LSU are fixed rings filled in place, so a tick
+ * allocates nothing: a memory instruction's address list is swapped
+ * between cursor, I-buffer slot and LSU slot, and each keeps the
+ * capacity it had.
  */
 
 #ifndef BWSIM_SMCORE_SM_CORE_HH
@@ -31,7 +35,6 @@
 
 #include <array>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <vector>
@@ -194,7 +197,11 @@ class SmCore
 
     /** @name Miss traffic toward the interconnect (GPU drains this) */
     /**@{*/
-    bool hasOutgoing() const;
+    bool
+    hasOutgoing() const
+    {
+        return !l1dCache->missQueueEmpty() || !l1iCache->missQueueEmpty();
+    }
     MemFetch *peekOutgoing();
     void popOutgoing();
     /**@}*/
@@ -209,7 +216,6 @@ class SmCore
     struct Warp
     {
         std::unique_ptr<TraceCursor> cursor;
-        std::deque<WarpInstData> ibuf;
         int ctaSlot = -1;
         std::uint64_t age = 0;
     };
@@ -231,11 +237,12 @@ class SmCore
     /**
      * One warp memory instruction buffered in the LSU. The slot is
      * held only until every coalesced access has been accepted by the
-     * L1; completion is then tracked by a PendingMemOp.
+     * L1; completion is then tracked by a PendingMemOp. Only the
+     * oldest slot is presented to the L1D and only it is freed, so
+     * the slots form a FIFO ring (lsuHead is the oldest).
      */
     struct LsuSlot
     {
-        bool valid = false;
         int warpId = -1;
         bool write = false;
         std::vector<Addr> addrs;
@@ -272,13 +279,16 @@ class SmCore
     IssueStall stallCause() const;
     void pendingAccessDone(int pending_idx);
     bool lsuHasFreeSlot() const { return lsuOccupied < int(lsu.size()); }
-    int lsuAllocSlot(int warp, const WarpInstData &inst);
+    /** Buffer @p inst at the ring's tail; takes its address list by
+     *  swap (@p inst keeps the slot's empty one, capacity and all). */
+    void lsuAllocSlot(int warp, WarpInstData &inst);
     int allocPendingOp(int warp, bool write, int dest_reg,
                        std::uint32_t n_accesses);
     void rebuildSchedLists();
+    /** Entry @p k (0 = head) of @p warp's I-buffer ring. */
+    WarpInstData &ibufAt(int warp, int k);
     void popIbufHead(int warp);
     std::uint64_t computeQuiesceHorizon();
-    int oldestLsuSlot() const;
     void integrateFetchRotation(std::uint64_t n);
 
     CoreParams cfg;
@@ -290,7 +300,10 @@ class SmCore
 
     std::vector<Warp> warps;
     std::vector<std::uint8_t> wflags;  ///< WarpFlag bits per warp
-    std::vector<std::uint8_t> ibufCnt; ///< mirrors warps[w].ibuf.size()
+    /** I-buffer rings: ibufferEntries slots per warp, warp-major. */
+    std::vector<WarpInstData> ibufSlots;
+    std::vector<std::uint8_t> ibufHead; ///< ring head per warp
+    std::vector<std::uint8_t> ibufCnt;  ///< ring occupancy per warp
     /** Register operands of each warp's I-buffer head (valid iff
      *  ibufCnt>0), for re-deriving its hazard bits. */
     std::vector<std::int16_t> headDest;
@@ -345,7 +358,10 @@ class SmCore
 
     std::vector<LsuSlot> lsu;
     std::uint64_t lsuSeq = 0;
+    int lsuHead = 0;
     int lsuOccupied = 0;
+    /** Waiters a fill woke (reused across deliverResponse calls). */
+    std::vector<MshrWaiter> fillWoken;
     std::vector<PendingMemOp> pendingOps;
     std::vector<int> pendingFree;
     /** L1D hit completions in flight: PendingMemOp index, ready cycle. */

@@ -35,7 +35,7 @@ PointerChaseCursor::next(WarpInstData &out)
 {
     if (done())
         return false;
-    out = WarpInstData();
+    out.reset();
     out.op = Op::Load;
     // Read the register the previous load wrote: the chain admits
     // exactly one outstanding access, so AML is a pure round trip.
@@ -72,7 +72,7 @@ StrideCursor::next(WarpInstData &out)
 {
     if (done())
         return false;
-    out = WarpInstData();
+    out.reset();
     out.op = Op::Load;
     // Independent loads (no source register): maximal memory-level
     // parallelism, so the probe measures bandwidth, not latency.

@@ -93,8 +93,8 @@ SyntheticCursor::next(WarpInstData &out)
     if (done())
         return false;
 
+    out.reset();
     out.pc = nextPc();
-    out.lineAddrs.clear();
 
     // Dependency chain: instruction i reads the register written by
     // instruction i - ilpDistance, giving `ilpDistance` independent

@@ -283,7 +283,7 @@ TraceReplayCursor::next(WarpInstData &out)
     if (!curValid)
         return false;
     const TraceRecord &rec = trace->records[cur];
-    out = WarpInstData();
+    out.reset();
     out.op = rec.op;
     // Rotate destinations so replayed loads never serialize on a
     // false register dependency.

@@ -144,6 +144,42 @@ TEST(Config, FindConfigPresetResolvesEveryFactoryName)
     }
 }
 
+namespace
+{
+
+/** validate() must end a config the SM cannot run with one fatal
+ *  line naming the field (it can arrive in a serialized queue job). */
+void
+expectRejected(void (*mutate)(GpuConfig &), const char *message)
+{
+    GpuConfig c = GpuConfig::baseline();
+    mutate(c);
+    EXPECT_EXIT(c.validate(), ::testing::ExitedWithCode(1), message);
+}
+
+} // namespace
+
+TEST(ConfigDeathTest, ValidateRejectsCoreShapesTheSmCannotRun)
+{
+    GpuConfig::baseline().validate(); // the baseline itself passes
+    expectRejected([](GpuConfig &c) { c.numCores = 0; },
+                   "numCores = 0, must be in 1..64");
+    expectRejected([](GpuConfig &c) { c.numCores = 65; },
+                   "numCores = 65, must be in 1..64");
+    expectRejected([](GpuConfig &c) { c.maxWarpsPerCore = 65; },
+                   "maxWarpsPerCore = 65, must be in 1..64");
+    expectRejected([](GpuConfig &c) { c.numSchedulers = 0; },
+                   "numSchedulers = 0, must be >= 1");
+    expectRejected([](GpuConfig &c) { c.fetchWidth = 0; },
+                   "fetchWidth = 0, must be >= 1");
+    expectRejected([](GpuConfig &c) { c.memPipelineWidth = 0; },
+                   "memPipelineWidth = 0, must be >= 1");
+    expectRejected([](GpuConfig &c) { c.ibufferEntries = 0; },
+                   "ibufferEntries = 0, must be in 1..255");
+    expectRejected([](GpuConfig &c) { c.ibufferEntries = 256; },
+                   "ibufferEntries = 256, must be in 1..255");
+}
+
 TEST(Config, ModesSelectCorrectBackend)
 {
     EXPECT_EQ(GpuConfig::baseline().mode, MemoryMode::Normal);

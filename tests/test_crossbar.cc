@@ -6,6 +6,7 @@
 #include <set>
 #include <vector>
 
+#include "common/rng.hh"
 #include "icnt/crossbar.hh"
 
 using namespace bwsim;
@@ -312,5 +313,73 @@ TEST(Crossbar, ContentionIsPerDestination)
     for (std::uint32_t d = 0; d < 3; ++d) {
         ASSERT_TRUE(net.ejectReady(d)) << "dest " << d;
         EXPECT_EQ(net.ejectPop(d), &mfs[d]);
+    }
+}
+
+/**
+ * The port-state bitmasks the per-SM wake relies on must equal the
+ * queue predicates after every operation: a seeded random mix of
+ * inject / tick / ejectPop on small queues, so both bits toggle
+ * often. The 64-port shape covers the top mask bit.
+ */
+TEST(Crossbar, PortMasksTrackQueuesUnderRandomOps)
+{
+    struct Shape
+    {
+        std::uint32_t sources, dests;
+    };
+    for (Shape shape : {Shape{5, 4}, Shape{64, 64}}) {
+        for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+            NetworkParams p = smallNet(32);
+            p.numSources = shape.sources;
+            p.numDests = shape.dests;
+            p.injQueuePackets = 2;
+            p.ejQueuePackets = 1 + static_cast<std::uint32_t>(seed % 2);
+            CrossbarNetwork net(p);
+            std::vector<MemFetch> packets(4000);
+            std::size_t used = 0;
+            bool saw_full = false, saw_ready = false;
+            Rng rng(seed);
+            for (int step = 0; step < 3000; ++step) {
+                const std::uint64_t op = rng.below(3);
+                if (op == 0 && used < packets.size()) {
+                    const auto src =
+                        static_cast<std::uint32_t>(rng.below(p.numSources));
+                    const auto dst =
+                        static_cast<std::uint32_t>(rng.below(p.numDests));
+                    if (net.canAccept(src)) {
+                        net.inject(src, dst, &packets[used++],
+                                   8 + static_cast<std::uint32_t>(
+                                           rng.below(100)),
+                                   0.0);
+                    }
+                } else if (op == 1) {
+                    net.tick();
+                } else {
+                    const auto dst =
+                        static_cast<std::uint32_t>(rng.below(p.numDests));
+                    if (net.ejectReady(dst))
+                        net.ejectPop(dst);
+                }
+                for (std::uint32_t d = 0; d < p.numDests; ++d) {
+                    ASSERT_EQ((net.ejectReadyMask() >> d) & 1,
+                              net.ejectReady(d) ? 1u : 0u)
+                        << "seed " << seed << " step " << step
+                        << " dest " << d;
+                }
+                for (std::uint32_t src = 0; src < p.numSources; ++src) {
+                    ASSERT_EQ((net.injectFullMask() >> src) & 1,
+                              net.canAccept(src) ? 0u : 1u)
+                        << "seed " << seed << " step " << step
+                        << " source " << src;
+                }
+                saw_full |= net.injectFullMask() != 0;
+                saw_ready |= net.ejectReadyMask() != 0;
+            }
+            EXPECT_TRUE(saw_ready) << "seed " << seed;
+            if (shape.sources < 64) {
+                EXPECT_TRUE(saw_full) << "seed " << seed;
+            }
+        }
     }
 }
