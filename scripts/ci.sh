@@ -246,6 +246,21 @@ smoke() {
         cat "$smoke_tmp/prof.err" >&2
         exit 1
     fi
+    # Per-bank and per-channel sleep on the memory side are
+    # byte-identical by construction too: the same run must report
+    # L2-bank and DRAM-channel ticks replaced by bulk charges.
+    for field in l2-slept dram-slept; do
+        grep -q "$field=" "$smoke_tmp/prof.err" || {
+            echo "smoke FAIL: --exec-stats printed no $field field:" >&2
+            cat "$smoke_tmp/prof.err" >&2
+            exit 1
+        }
+        if grep -Eq "$field=0( |\$)" "$smoke_tmp/prof.err"; then
+            echo "smoke FAIL: congested bfs run reported $field=0" >&2
+            cat "$smoke_tmp/prof.err" >&2
+            exit 1
+        fi
+    done
     grep -q 'gpu\.tick_profile\.core' "$smoke_tmp/prof.out" || {
         echo "smoke FAIL: --profile-ticks did not register the" \
              "tick_profile stats group" >&2

@@ -539,7 +539,8 @@ printExecStats(std::ostream &err)
         "bwsim: sim speed: scheduler=%s runs=%llu "
         "core-cycles=%llu wall=%.3fs cycles/sec=%.4g "
         "ticked-edges=%llu skipped-edges=%llu "
-        "fused-spans=%llu fused-cycles=%llu sm-slept=%llu\n",
+        "fused-spans=%llu fused-cycles=%llu sm-slept=%llu "
+        "l2-slept=%llu dram-slept=%llu\n",
         schedulerModeName(schedulerMode()),
         static_cast<unsigned long long>(speed.runs),
         static_cast<unsigned long long>(speed.coreCycles),
@@ -548,7 +549,9 @@ printExecStats(std::ostream &err)
         static_cast<unsigned long long>(speed.skippedEdges),
         static_cast<unsigned long long>(speed.fusedSpans),
         static_cast<unsigned long long>(speed.fusedCycles),
-        static_cast<unsigned long long>(speed.sleptCoreCycles));
+        static_cast<unsigned long long>(speed.sleptCoreCycles),
+        static_cast<unsigned long long>(speed.sleptL2Ticks),
+        static_cast<unsigned long long>(speed.sleptDramTicks));
     if (tickProfileEnabled()) {
         for (const auto &d : tickProfileTotals()) {
             err << csprintf(
@@ -641,6 +644,8 @@ struct PerfCase
     std::uint64_t fusedSpans = 0;
     std::uint64_t fusedCycles = 0;
     std::uint64_t sleptCoreCycles = 0;
+    std::uint64_t sleptL2Ticks = 0;
+    std::uint64_t sleptDramTicks = 0;
 
     /**
      * Median of the paired per-rep ratios: machine-speed drift that
@@ -685,6 +690,8 @@ timeOneRun(PerfCase &pc, SchedulerMode mode)
         pc.fusedCycles = after.fusedCycles - before.fusedCycles;
         pc.sleptCoreCycles =
             after.sleptCoreCycles - before.sleptCoreCycles;
+        pc.sleptL2Ticks = after.sleptL2Ticks - before.sleptL2Ticks;
+        pc.sleptDramTicks = after.sleptDramTicks - before.sleptDramTicks;
     }
     return std::chrono::duration<double>(t1 - t0).count();
 }
@@ -841,7 +848,8 @@ runPerf(const std::string &out_path, std::ostream &out, std::ostream &err)
             "%.1f}, \"skip\": {\"wall_sec\": %.6f, \"cycles_per_sec\": "
             "%.1f, \"ticked_edges\": %llu, \"skipped_edges\": %llu, "
             "\"fused_spans\": %llu, \"fused_cycles\": %llu, "
-            "\"sm_slept\": %llu}, \"speedup\": %.3f}%s\n",
+            "\"sm_slept\": %llu, \"l2_slept\": %llu, "
+            "\"dram_slept\": %llu}, \"speedup\": %.3f}%s\n",
             jsonEscape(pc.label).c_str(),
             workloadKeyTag(pc.profile).c_str(),
             static_cast<unsigned long long>(pc.coreCycles),
@@ -852,6 +860,8 @@ runPerf(const std::string &out_path, std::ostream &out, std::ostream &err)
             static_cast<unsigned long long>(pc.fusedSpans),
             static_cast<unsigned long long>(pc.fusedCycles),
             static_cast<unsigned long long>(pc.sleptCoreCycles),
+            static_cast<unsigned long long>(pc.sleptL2Ticks),
+            static_cast<unsigned long long>(pc.sleptDramTicks),
             pc.speedup(), i + 1 < cases.size() ? "," : "");
     }
     f << "  ],\n";

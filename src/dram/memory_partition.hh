@@ -21,6 +21,30 @@
  * the channel is replaced by an unbounded fixed-latency pipe: the L2
  * miss path never back-pressures and every fill arrives a constant
  * ~100 core cycles later.
+ *
+ * Per-bank and per-channel sleep (skip scheduler, inside Gpu::run()
+ * only): a bank or channel whose own horizon is positive after its
+ * tick stops ticking and is charged its owed cycles in one bulk step
+ * when it wakes. What may change while a bank sleeps, and what wakes
+ * it:
+ *   - its own state (cache, queues, memos) changes only during its
+ *     own tick, so the access-queue head's ready time and -- when the
+ *     reply port has room, which only its own injections take away --
+ *     the response head's ready time are folded into one wake cycle;
+ *   - a request landing in its ejection queue (request network
+ *     ejectReadyMask(), unless its access queue is full), its reply
+ *     port freeing (reply network injectFullMask() bit clearing) and
+ *     the DRAM scheduler queue regaining space (for a blocked miss
+ *     queue) happen at other ticks and wake it by port mask;
+ *   - the shared return head (or the P_DRAM pipe's ready head) naming
+ *     it while its fill memo is invalid wakes it; the target is
+ *     re-read after every bank visit, so a fill that exposes the next
+ *     head for a higher bank is served in the same cycle, as in
+ *     lockstep.
+ * A sleeping channel's state changes only at its own ticks and at the
+ * L2 side's push() and returnPop(); the L2 side wakes it (charging
+ * its owed cycles against the state before the change) just before
+ * either, and time covers the rest (DramChannel::horizon()).
  */
 
 #ifndef BWSIM_DRAM_MEMORY_PARTITION_HH
@@ -33,6 +57,7 @@
 #include "dram/dram_channel.hh"
 #include "icnt/crossbar.hh"
 #include "mem/addr_map.hh"
+#include "sim/clock.hh"
 #include "sim/queue.hh"
 #include "stats/occupancy_hist.hh"
 
@@ -104,26 +129,44 @@ class MemoryPartition
      * stall memo does NOT pin the horizon: its tick charges exactly
      * one countStall, which skipL2() integrates in bulk. Blocked-on-
      * full paths are frozen no-ops: the ports they wait on only free
-     * on ticks that invalidate this horizon.
+     * on ticks that invalidate this horizon. The per-bank part is
+     * bankHorizon(), the rule a bank's sleep decision uses too; the
+     * shared fill path is folded in here.
      */
     std::uint64_t l2Horizon() const;
     /**
      * Integrate @p n skipped L2 cycles: bulk-replay any memoized
      * access-queue stalls, advance the cycle counter and charge the
      * per-cycle access-queue occupancy samples (occupancy is frozen
-     * across the span). Returns true iff stall charges were applied.
+     * across the span). A sleeping bank's stamp covers the span, so
+     * it is charged when it wakes. Returns true iff some bank's span
+     * is a memoized stall.
      */
     bool skipL2(std::uint64_t n);
-    /** Channel horizon; infinite under the ideal-DRAM pipe. */
+    /** Channel horizon; infinite under the ideal-DRAM pipe, and what
+     *  is left of the folded horizon while the channel sleeps. */
     std::uint64_t dramHorizon() const;
     /**
      * Integrate @p n skipped DRAM command cycles: the channel's bulk
      * pending-cycle charge plus the per-cycle scheduler-queue
-     * occupancy samples. Returns true iff the span was a fused
-     * bus-sleep (queued requests, no command legal).
+     * occupancy samples (left to the stamp while it sleeps). Returns
+     * true iff the span was a fused bus-sleep (queued requests, no
+     * command legal).
      */
     bool skipDram(std::uint64_t n);
     /**@}*/
+
+    /**
+     * Switch per-bank / per-channel sleep on or off. Switching it off
+     * charges every owed cycle, so counters read afterwards match a
+     * lockstep run.
+     */
+    void setSleepEnabled(bool on);
+    /** Bank ticks a sleeping bank did not run so far (its cycles
+     *  are charged in bulk instead). */
+    std::uint64_t sleptBankTicks() const { return bankSleptTicks; }
+    /** Channel ticks a sleeping channel did not run so far. */
+    std::uint64_t sleptDramTicks() const { return dramSleptTicks; }
 
     /** All queues, banks and the channel are empty. */
     bool drained() const;
@@ -153,7 +196,86 @@ class MemoryPartition
     /**@}*/
 
   private:
+    /** Steps 1-5 of the file comment for local bank @p b. */
+    void tickBank(std::uint32_t b, double now_ps);
     void pullFromNetwork(std::uint32_t b);
+
+    /**
+     * Port conditions that end a bank's positive horizon early (its
+     * time-based events are in the horizon itself).
+     */
+    enum PortWake : std::uint8_t
+    {
+        WakeOnRequest = 1,   ///< a request lands in its ejection queue
+        WakeOnReplyPort = 2, ///< its reply-network port frees
+        WakeOnDramSpace = 4, ///< the DRAM scheduler queue frees a slot
+    };
+    /**
+     * Local bank @p b's own quiescence horizon: l2Horizon()'s rules
+     * for everything but the shared fill path. When positive,
+     * @p wakes (if given) receives the PortWake bits that can end it
+     * early.
+     */
+    std::uint64_t bankHorizon(std::uint32_t b,
+                              std::uint8_t *wakes = nullptr) const;
+    /** L2 cycles from the next tick until @p ready (0 if due). */
+    std::uint64_t
+    l2Until(Cycle ready) const
+    {
+        return ready > l2Cycle + 1
+                   ? static_cast<std::uint64_t>(ready - l2Cycle - 1)
+                   : std::uint64_t(0);
+    }
+
+    /** @name Per-bank and per-channel sleep (see file comment) */
+    /**@{*/
+    struct BankSleep
+    {
+        /** Last L2 cycle the bank's folded horizon covers. */
+        Cycle wakeAt = 0;
+        /** L2 cycle through which its cycles have been charged. */
+        Cycle sleptFrom = 0;
+    };
+    /** Global-id bit of local bank @p b. */
+    std::uint64_t
+    bankBit(std::uint32_t b) const
+    {
+        return std::uint64_t(1) << globalBankId(b);
+    }
+    /** Sleeping banks whose port or time wake has come this cycle. */
+    std::uint64_t wokenBanks();
+    /** The sleeping bank the ready fill head names, if its fill memo
+     *  is invalid (as a global-id bit; 0 if none). */
+    std::uint64_t fillWake() const;
+    /** Put local bank @p b to sleep if its own horizon is positive. */
+    void maybeSleepBank(std::uint32_t b);
+    /** Charge local bank @p b's owed cycles through @p through and
+     *  mark it awake. */
+    void wakeBank(std::uint32_t b, Cycle through);
+    /** Charge the sleeping channel's owed cycles through DRAM cycle
+     *  @p through and mark it awake. */
+    void wakeChannel(Cycle through);
+
+    bool sleepOn = false;
+    /** Masks over global bank ids (the ids the crossbars use): this
+     *  partition's banks, the sleeping ones, and the sleeping ones
+     *  each PortWake condition wakes. */
+    std::uint64_t allBanks = 0;
+    std::uint64_t asleep = 0;
+    std::uint64_t wakeOnRequest = 0;
+    std::uint64_t wakeOnReplyPort = 0;
+    std::uint64_t wakeOnDramSpace = 0;
+    /** No sleeping bank's wakeAt is below this (it may run early). */
+    Cycle nextTimedWake = kInfiniteHorizon;
+    std::vector<BankSleep> bankSleep;
+    /** Local bank index of each global bank id in this partition. */
+    std::vector<std::uint8_t> localBank;
+    bool chanAsleep = false;
+    Cycle chanWakeAt = 0;
+    Cycle chanSleptFrom = 0;
+    std::uint64_t bankSleptTicks = 0;
+    std::uint64_t dramSleptTicks = 0;
+    /**@}*/
 
     PartitionParams cfg;
     MemFetchAllocator *alloc;

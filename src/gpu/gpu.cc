@@ -325,6 +325,8 @@ Gpu::run()
     sleepEnabled = skip;
     nextTimedWake = kInfiniteHorizon;
     sleptCycles = 0;
+    memSys->setSleepEnabled(skip);
+    const MemSystem::SleptTicks mem0 = memSys->sleptTicks();
 
     while (!allWorkDone()) {
         if (coreCycleCount >= cfg.maxCoreCycles) {
@@ -348,6 +350,8 @@ Gpu::run()
     flushSleep();
     asleepMask = 0;
     sleepEnabled = false;
+    memSys->setSleepEnabled(false);
+    const MemSystem::SleptTicks mem1 = memSys->sleptTicks();
 
     const auto wall_ns =
         std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -356,6 +360,8 @@ Gpu::run()
     recordSimSpeed(coreCycleCount - cycles0,
                    clocks.tickedEdges() - ticked0,
                    clocks.skippedEdges() - skipped0, sleptCycles,
+                   mem1.l2Banks - mem0.l2Banks,
+                   mem1.dramChannels - mem0.dramChannels,
                    static_cast<std::uint64_t>(wall_ns));
     if (tickProfileEnabled()) {
         for (std::size_t s = 0; s < numProfSlots; ++s) {

@@ -1,6 +1,7 @@
 #include "gpu/gpu_config.hh"
 
 #include <functional>
+#include <utility>
 
 #include "common/intmath.hh"
 #include "common/key_builder.hh"
@@ -165,24 +166,20 @@ GpuConfig::validate() const
     if (!isPowerOf2(lineBytes))
         fatal("config '%s': line size %u not a power of two", name.c_str(),
               lineBytes);
-    if (l2TotalSizeBytes % (std::uint64_t(totalL2Banks()) * lineBytes *
-                            l2Assoc) != 0) {
-        fatal("config '%s': L2 size does not divide across %u banks",
-              name.c_str(), totalL2Banks());
-    }
     if (sectorBytes != 0 &&
         (!isPowerOf2(sectorBytes) || lineBytes % sectorBytes != 0)) {
         fatal("config '%s': sector size %u must be a power of two "
               "dividing the %u-byte line",
               name.c_str(), sectorBytes, lineBytes);
     }
-    // The core shape the SM can run: cores and warps index 64-bit
-    // masks, and the I-buffer depth is a uint8_t count.
-    auto need = [this](bool ok, const char *field, int value,
+    // The shapes the engine can run: cores, warps, L2 banks and DRAM
+    // banks index 64-bit masks, the I-buffer depth is a uint8_t count,
+    // and every queue, MSHR table and flit must hold at least one.
+    auto need = [this](bool ok, const char *field, long long value,
                        const char *range) {
         if (!ok) {
-            fatal("config '%s': %s = %d, must be %s", name.c_str(), field,
-                  value, range);
+            fatal("config '%s': %s = %lld, must be %s", name.c_str(),
+                  field, value, range);
         }
     };
     need(numCores >= 1 && numCores <= 64, "numCores", numCores, "in 1..64");
@@ -194,6 +191,44 @@ GpuConfig::validate() const
          ">= 1");
     need(ibufferEntries >= 1 && ibufferEntries <= 255, "ibufferEntries",
          ibufferEntries, "in 1..255");
+    need(numPartitions >= 1, "numPartitions", numPartitions, ">= 1");
+    need(l2BanksPerPartition >= 1, "l2BanksPerPartition",
+         l2BanksPerPartition, ">= 1");
+    need(l2Assoc >= 1, "l2Assoc", l2Assoc, ">= 1");
+    const long long l2_banks =
+        static_cast<long long>(numPartitions) * l2BanksPerPartition;
+    need(l2_banks <= 64, "totalL2Banks", l2_banks, "<= 64");
+    need(dramBanks >= 1 && dramBanks <= 64, "dramBanks", dramBanks,
+         "in 1..64");
+    need(dramBusBytesPerCycle >= 1, "dramBusBytesPerCycle",
+         dramBusBytesPerCycle, ">= 1");
+    need(dramRowBytes >= lineBytes, "dramRowBytes", dramRowBytes,
+         ">= lineBytes");
+    // A dirty eviction queues its fetch and writeback together, and
+    // one fill moves every waiter on the line into the response
+    // queue at once: smaller queues refuse those forever.
+    need(l2MissQueue >= 2, "l2MissQueue", l2MissQueue, ">= 2");
+    need(l2MshrMerge >= 1, "l2MshrMerge", l2MshrMerge, ">= 1");
+    need(l2RespQueue >= l2MshrMerge, "l2RespQueue", l2RespQueue,
+         ">= l2MshrMerge");
+    const std::pair<const char *, std::uint32_t> at_least_one[] = {
+        {"l2AccessQueue", l2AccessQueue},
+        {"l2MshrEntries", l2MshrEntries},
+        {"dramSchedQueue", dramSchedQueue},
+        {"dramReturnQueue", dramReturnQueue},
+        {"injQueuePackets", injQueuePackets},
+        {"coreRespFifo", coreRespFifo},
+        {"reqEjQueuePackets", reqEjQueuePackets},
+        {"reqFlitBytes", reqFlitBytes},
+        {"replyFlitBytes", replyFlitBytes},
+    };
+    for (const auto &[field, value] : at_least_one)
+        need(value >= 1, field, value, ">= 1");
+    if (l2TotalSizeBytes % (std::uint64_t(totalL2Banks()) * lineBytes *
+                            l2Assoc) != 0) {
+        fatal("config '%s': L2 size does not divide across %u banks",
+              name.c_str(), totalL2Banks());
+    }
 }
 
 GpuConfig

@@ -233,6 +233,24 @@ NormalMemSystem::dramSkip(std::uint64_t n)
     return fused;
 }
 
+void
+NormalMemSystem::setSleepEnabled(bool on)
+{
+    for (auto &p : parts)
+        p->setSleepEnabled(on);
+}
+
+MemSystem::SleptTicks
+NormalMemSystem::sleptTicks() const
+{
+    SleptTicks t;
+    for (const auto &p : parts) {
+        t.l2Banks += p->sleptBankTicks();
+        t.dramChannels += p->sleptDramTicks();
+    }
+    return t;
+}
+
 bool
 NormalMemSystem::drained() const
 {

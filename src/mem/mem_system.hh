@@ -128,6 +128,36 @@ class MemSystem
     virtual bool dramSkip(std::uint64_t n) { (void)n; return false; }
     /**@}*/
 
+    /**
+     * @name Memory-side sleep (skip scheduler, inside Gpu::run() only)
+     *
+     * With sleep on, each L2 bank and DRAM channel whose own horizon
+     * is positive after its tick stops ticking until a time in that
+     * horizon comes due or something it waits on changes, and is
+     * then charged its owed cycles in one bulk step. A sleeping bank
+     * changes only at its own ticks; it is woken by the request
+     * network's eject-ready mask (unless its access queue is full),
+     * the reply network's inject-full bit clearing, the DRAM queue
+     * regaining space (for a blocked miss queue), or the return head
+     * naming it with an invalid fill memo. A sleeping channel is
+     * woken by time or just before the L2 side pushes to it or pops
+     * its return queue. The horizons and skip hooks above stay exact
+     * while anything sleeps. Switching sleep off charges every owed
+     * cycle, so it must precede harvest() and any stats read. The
+     * default (the ideal hierarchies, which have no banks or
+     * channels) is a no-op.
+     */
+    /**@{*/
+    virtual void setSleepEnabled(bool on) { (void)on; }
+    /** Ticks replaced by bulk charges so far (telemetry only). */
+    struct SleptTicks
+    {
+        std::uint64_t l2Banks = 0;
+        std::uint64_t dramChannels = 0;
+    };
+    virtual SleptTicks sleptTicks() const { return {}; }
+    /**@}*/
+
     /** @name Introspection (null when the level is not modelled) */
     /**@{*/
     virtual Interconnect *interconnect() { return nullptr; }
@@ -168,6 +198,8 @@ class NormalMemSystem : public MemSystem
     std::uint64_t dramHorizon() const override;
     bool icntSkip(std::uint64_t n) override;
     bool dramSkip(std::uint64_t n) override;
+    void setSleepEnabled(bool on) override;
+    SleptTicks sleptTicks() const override;
 
     Interconnect *interconnect() override { return icnt.get(); }
     MemoryPartition *

@@ -7,14 +7,20 @@
  * back-pressure. TimedQueue additionally enforces a minimum residency
  * (pipeline latency) before an entry may be popped. Both expose their
  * occupancy so congestion monitors can build usage-lifetime histograms.
+ *
+ * All three sit on a power-of-two Ring. Bounded queues size it once,
+ * at construction; a DelayPipe starts without storage and doubles its
+ * ring when a push finds it full. Push and pop are an index mask and
+ * a move -- they never allocate (past a pipe's high-water mark) and
+ * never chase a block map.
  */
 
 #ifndef BWSIM_SIM_QUEUE_HH
 #define BWSIM_SIM_QUEUE_HH
 
-#include <deque>
-#include <limits>
+#include <cstddef>
 #include <utility>
+#include <vector>
 
 #include "common/log.hh"
 #include "common/types.hh"
@@ -22,12 +28,73 @@
 namespace bwsim
 {
 
+/** FIFO storage on a power-of-two ring; the owner checks room. */
+template <typename T>
+class Ring
+{
+  public:
+    Ring() = default;
+    /** A ring with room for at least @p min_slots entries. */
+    explicit Ring(std::size_t min_slots)
+    {
+        std::size_t n = 1;
+        while (n < min_slots)
+            n <<= 1;
+        buf.resize(n);
+        mask = n - 1;
+    }
+
+    bool empty() const { return count == 0; }
+    std::size_t size() const { return count; }
+    /** Entries the ring holds before it must grow. */
+    std::size_t slots() const { return buf.size(); }
+
+    T &front() { return buf[head]; }
+    const T &front() const { return buf[head]; }
+    const T &back() const { return buf[(head + count - 1) & mask]; }
+
+    /** Append @p v; requires size() < slots(). */
+    void
+    push(T v)
+    {
+        buf[(head + count) & mask] = std::move(v);
+        ++count;
+    }
+
+    T
+    pop()
+    {
+        T v = std::move(buf[head]);
+        head = (head + 1) & mask;
+        --count;
+        return v;
+    }
+
+    /** Double the storage (4 slots from empty), keeping FIFO order. */
+    void
+    grow()
+    {
+        std::vector<T> next(buf.empty() ? 4 : 2 * buf.size());
+        for (std::size_t i = 0; i < count; ++i)
+            next[i] = std::move(buf[(head + i) & mask]);
+        buf = std::move(next);
+        head = 0;
+        mask = buf.size() - 1;
+    }
+
+  private:
+    std::vector<T> buf;
+    std::size_t head = 0;
+    std::size_t count = 0;
+    std::size_t mask = 0;
+};
+
 /** A finite FIFO; push fails (returns false) when full. */
 template <typename T>
 class BoundedQueue
 {
   public:
-    explicit BoundedQueue(std::size_t capacity) : cap(capacity)
+    explicit BoundedQueue(std::size_t capacity) : cap(capacity), q(capacity)
     {
         bwsim_assert(capacity > 0, "queue capacity must be positive");
     }
@@ -45,7 +112,7 @@ class BoundedQueue
     {
         if (full())
             return false;
-        q.push_back(std::move(v));
+        q.push(std::move(v));
         return true;
     }
 
@@ -56,19 +123,12 @@ class BoundedQueue
     pop()
     {
         bwsim_assert(!q.empty(), "pop from empty queue");
-        T v = std::move(q.front());
-        q.pop_front();
-        return v;
+        return q.pop();
     }
-
-    auto begin() { return q.begin(); }
-    auto end() { return q.end(); }
-    auto begin() const { return q.begin(); }
-    auto end() const { return q.end(); }
 
   private:
     std::size_t cap;
-    std::deque<T> q;
+    Ring<T> q;
 };
 
 /**
@@ -80,7 +140,7 @@ template <typename T>
 class TimedQueue
 {
   public:
-    explicit TimedQueue(std::size_t capacity) : cap(capacity)
+    explicit TimedQueue(std::size_t capacity) : cap(capacity), q(capacity)
     {
         bwsim_assert(capacity > 0, "queue capacity must be positive");
     }
@@ -100,7 +160,7 @@ class TimedQueue
         // semantics while allowing out-of-order push deadlines.
         if (!q.empty() && q.back().second > ready)
             ready = q.back().second;
-        q.emplace_back(std::move(v), ready);
+        q.push({std::move(v), ready});
         return true;
     }
 
@@ -119,19 +179,12 @@ class TimedQueue
     pop()
     {
         bwsim_assert(!q.empty(), "pop from empty queue");
-        T v = std::move(q.front().first);
-        q.pop_front();
-        return v;
+        return q.pop().first;
     }
-
-    auto begin() { return q.begin(); }
-    auto end() { return q.end(); }
-    auto begin() const { return q.begin(); }
-    auto end() const { return q.end(); }
 
   private:
     std::size_t cap;
-    std::deque<std::pair<T, Cycle>> q;
+    Ring<std::pair<T, Cycle>> q;
 };
 
 /** An unbounded delay pipe: entries emerge after a per-entry latency. */
@@ -148,7 +201,9 @@ class DelayPipe
         // See TimedQueue::push: clamp to preserve FIFO pop order.
         if (!q.empty() && q.back().second > ready)
             ready = q.back().second;
-        q.emplace_back(std::move(v), ready);
+        if (q.size() == q.slots())
+            q.grow();
+        q.push({std::move(v), ready});
     }
 
     bool
@@ -158,6 +213,7 @@ class DelayPipe
     }
 
     T &front() { return q.front().first; }
+    const T &front() const { return q.front().first; }
     /** Ready time of the head entry (requires non-empty). */
     Cycle frontReady() const { return q.front().second; }
 
@@ -165,13 +221,11 @@ class DelayPipe
     pop()
     {
         bwsim_assert(!q.empty(), "pop from empty pipe");
-        T v = std::move(q.front().first);
-        q.pop_front();
-        return v;
+        return q.pop().first;
     }
 
   private:
-    std::deque<std::pair<T, Cycle>> q;
+    Ring<std::pair<T, Cycle>> q;
 };
 
 } // namespace bwsim

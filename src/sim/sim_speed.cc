@@ -43,6 +43,8 @@ struct Totals
     std::atomic<std::uint64_t> fusedSpans{0};
     std::atomic<std::uint64_t> fusedCycles{0};
     std::atomic<std::uint64_t> sleptCoreCycles{0};
+    std::atomic<std::uint64_t> sleptL2Ticks{0};
+    std::atomic<std::uint64_t> sleptDramTicks{0};
     std::atomic<std::uint64_t> wallNanos{0};
 };
 
@@ -90,7 +92,9 @@ parseSchedulerMode(const std::string &text, SchedulerMode &out)
 void
 recordSimSpeed(std::uint64_t core_cycles, std::uint64_t ticked_edges,
                std::uint64_t skipped_edges,
-               std::uint64_t slept_core_cycles, std::uint64_t wall_nanos)
+               std::uint64_t slept_core_cycles,
+               std::uint64_t slept_l2_ticks,
+               std::uint64_t slept_dram_ticks, std::uint64_t wall_nanos)
 {
     Totals &t = totals();
     t.runs.fetch_add(1, std::memory_order_relaxed);
@@ -99,6 +103,9 @@ recordSimSpeed(std::uint64_t core_cycles, std::uint64_t ticked_edges,
     t.skippedEdges.fetch_add(skipped_edges, std::memory_order_relaxed);
     t.sleptCoreCycles.fetch_add(slept_core_cycles,
                                 std::memory_order_relaxed);
+    t.sleptL2Ticks.fetch_add(slept_l2_ticks, std::memory_order_relaxed);
+    t.sleptDramTicks.fetch_add(slept_dram_ticks,
+                               std::memory_order_relaxed);
     t.wallNanos.fetch_add(wall_nanos, std::memory_order_relaxed);
 }
 
@@ -123,6 +130,8 @@ simSpeedTotals()
     out.fusedCycles = t.fusedCycles.load(std::memory_order_relaxed);
     out.sleptCoreCycles =
         t.sleptCoreCycles.load(std::memory_order_relaxed);
+    out.sleptL2Ticks = t.sleptL2Ticks.load(std::memory_order_relaxed);
+    out.sleptDramTicks = t.sleptDramTicks.load(std::memory_order_relaxed);
     out.wallNanos = t.wallNanos.load(std::memory_order_relaxed);
     return out;
 }

@@ -10,9 +10,10 @@
  * BWSIM_SCHEDULER environment variable (default: skip).
  *
  * The telemetry aggregates core-cycles simulated, wall time,
- * ticked/skipped edge counts and slept SM ticks across every
- * Gpu::run() in the process (worker threads included), powering the
- * --exec-stats report and the `bwsim perf` harness.
+ * ticked/skipped edge counts and slept SM, L2-bank and DRAM-channel
+ * ticks across every Gpu::run() in the process (worker threads
+ * included), powering the --exec-stats report and the `bwsim perf`
+ * harness.
  */
 
 #ifndef BWSIM_SIM_SIM_SPEED_HH
@@ -64,6 +65,11 @@ struct SimSpeedTotals
      * edge counts: a slept tick falls on an executed core edge.
      */
     std::uint64_t sleptCoreCycles = 0;
+    /** L2-bank and DRAM-channel ticks replaced by bulk charges while
+     *  that bank or channel slept on its own horizon (memory-side
+     *  sleep, see MemSystem::setSleepEnabled). */
+    std::uint64_t sleptL2Ticks = 0;
+    std::uint64_t sleptDramTicks = 0;
     std::uint64_t wallNanos = 0;
 
     double
@@ -79,6 +85,8 @@ struct SimSpeedTotals
 void recordSimSpeed(std::uint64_t core_cycles, std::uint64_t ticked_edges,
                     std::uint64_t skipped_edges,
                     std::uint64_t slept_core_cycles,
+                    std::uint64_t slept_l2_ticks,
+                    std::uint64_t slept_dram_ticks,
                     std::uint64_t wall_nanos);
 
 /**

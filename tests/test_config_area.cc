@@ -180,6 +180,52 @@ TEST(ConfigDeathTest, ValidateRejectsCoreShapesTheSmCannotRun)
                    "ibufferEntries = 256, must be in 1..255");
 }
 
+TEST(ConfigDeathTest, ValidateRejectsMemoryShapesTheSimulatorCannotRun)
+{
+    expectRejected([](GpuConfig &c) { c.numPartitions = 0; },
+                   "numPartitions = 0, must be >= 1");
+    expectRejected([](GpuConfig &c) { c.l2BanksPerPartition = 0; },
+                   "l2BanksPerPartition = 0, must be >= 1");
+    expectRejected([](GpuConfig &c) { c.l2Assoc = 0; },
+                   "l2Assoc = 0, must be >= 1");
+    expectRejected([](GpuConfig &c) { c.l2BanksPerPartition = 16; },
+                   "totalL2Banks = 96, must be <= 64");
+    expectRejected([](GpuConfig &c) { c.dramBanks = 0; },
+                   "dramBanks = 0, must be in 1..64");
+    expectRejected([](GpuConfig &c) { c.dramBanks = 128; },
+                   "dramBanks = 128, must be in 1..64");
+    expectRejected([](GpuConfig &c) { c.dramBusBytesPerCycle = 0; },
+                   "dramBusBytesPerCycle = 0, must be >= 1");
+    expectRejected([](GpuConfig &c) { c.dramRowBytes = 64; },
+                   "dramRowBytes = 64, must be >= lineBytes");
+    expectRejected([](GpuConfig &c) { c.l2AccessQueue = 0; },
+                   "l2AccessQueue = 0, must be >= 1");
+    expectRejected([](GpuConfig &c) { c.l2MissQueue = 1; },
+                   "l2MissQueue = 1, must be >= 2");
+    expectRejected([](GpuConfig &c) { c.l2MshrMerge = 0; },
+                   "l2MshrMerge = 0, must be >= 1");
+    expectRejected([](GpuConfig &c) { c.l2RespQueue = 0; },
+                   "l2RespQueue = 0, must be >= l2MshrMerge");
+    expectRejected([](GpuConfig &c) { c.l2RespQueue = 7; },
+                   "l2RespQueue = 7, must be >= l2MshrMerge");
+    expectRejected([](GpuConfig &c) { c.l2MshrEntries = 0; },
+                   "l2MshrEntries = 0, must be >= 1");
+    expectRejected([](GpuConfig &c) { c.dramSchedQueue = 0; },
+                   "dramSchedQueue = 0, must be >= 1");
+    expectRejected([](GpuConfig &c) { c.dramReturnQueue = 0; },
+                   "dramReturnQueue = 0, must be >= 1");
+    expectRejected([](GpuConfig &c) { c.injQueuePackets = 0; },
+                   "injQueuePackets = 0, must be >= 1");
+    expectRejected([](GpuConfig &c) { c.coreRespFifo = 0; },
+                   "coreRespFifo = 0, must be >= 1");
+    expectRejected([](GpuConfig &c) { c.reqEjQueuePackets = 0; },
+                   "reqEjQueuePackets = 0, must be >= 1");
+    expectRejected([](GpuConfig &c) { c.reqFlitBytes = 0; },
+                   "reqFlitBytes = 0, must be >= 1");
+    expectRejected([](GpuConfig &c) { c.replyFlitBytes = 0; },
+                   "replyFlitBytes = 0, must be >= 1");
+}
+
 TEST(Config, ModesSelectCorrectBackend)
 {
     EXPECT_EQ(GpuConfig::baseline().mode, MemoryMode::Normal);

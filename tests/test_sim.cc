@@ -72,6 +72,25 @@ TEST(BoundedQueue, CapacityAndOrder)
     EXPECT_TRUE(q.empty());
 }
 
+TEST(BoundedQueue, WrapsAroundItsRing)
+{
+    // Capacity 3 sits on a 4-slot ring: rounds of fill-and-drain wrap
+    // the head past the end of the storage and must keep FIFO order
+    // and the bound.
+    BoundedQueue<int> q(3);
+    int in = 0, out = 0;
+    for (int round = 0; round < 20; ++round) {
+        while (q.push(in))
+            ++in;
+        EXPECT_EQ(q.size(), 3u);
+        EXPECT_EQ(q.front(), out);
+        EXPECT_EQ(q.pop(), out++);
+        if (round % 3 == 0) {
+            EXPECT_EQ(q.pop(), out++);
+        }
+    }
+}
+
 TEST(TimedQueue, ReadyGating)
 {
     TimedQueue<int> q(4);
@@ -114,4 +133,22 @@ TEST(DelayPipe, FifoWithDelays)
     EXPECT_TRUE(p.ready(6));
     EXPECT_EQ(p.pop(), 2);
     EXPECT_TRUE(p.empty());
+}
+
+TEST(DelayPipe, GrowsAcrossAWrappedRing)
+{
+    // Two pushes per pop: the ring doubles several times, each time
+    // with its head wrapped, and must hand entries back in order.
+    DelayPipe<int> p;
+    int in = 0, out = 0;
+    for (int i = 0; i < 100; ++i) {
+        p.push(in++, i);
+        p.push(in++, i);
+        ASSERT_TRUE(p.ready(i));
+        EXPECT_EQ(p.pop(), out++);
+    }
+    EXPECT_EQ(p.size(), 100u);
+    while (!p.empty())
+        EXPECT_EQ(p.pop(), out++);
+    EXPECT_EQ(out, in);
 }

@@ -1,12 +1,15 @@
 /**
  * @file
- * Seeded lockstep-vs-skip differential: per-SM sleep (and the
- * domain-level skip it rides on) must be invisible on inputs nobody
- * hand-picked. Each seed draws a hierarchy preset and a workload --
- * a pointer-chase or stride probe with random parameters, a shrunk
- * suite profile, or a small CTA-tagged trace with stores -- runs it
- * under both schedulers and requires byte-identical --dump-stats
- * trees and a fully drained packet allocator.
+ * Seeded lockstep-vs-skip differential: per-SM, per-L2-bank and
+ * per-DRAM-channel sleep (and the domain-level skip they ride on)
+ * must be invisible on inputs nobody hand-picked. Each seed draws a
+ * hierarchy preset, for half the seeds a shrunk memory-side shape
+ * (tiny DRAM, L2 and network queues, other bank and partition
+ * counts), and a workload -- a pointer-chase or stride probe with
+ * random parameters, a shrunk suite profile, or a small CTA-tagged
+ * trace with stores -- runs it under both schedulers and requires
+ * byte-identical --dump-stats trees and a fully drained packet
+ * allocator.
  *
  * The short budget runs in the quick suite. The long budget is a
  * disabled test for the nightly job:
@@ -20,6 +23,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -78,6 +82,57 @@ randomTrace(Rng &rng, std::string &describe)
     return makeTraceWorkload(t);
 }
 
+/**
+ * For half the seeds, shrink @p c's memory-side queues to random
+ * sizes within validate()'s bounds and redraw its bank and partition
+ * counts where the L2 still divides. Small queues keep banks and
+ * channels blocked on the ports and the DRAM queue, which is where
+ * the memory-side sleep wakes live. A stream of its own keeps each
+ * seed's preset and workload draw unchanged. Returns a description
+ * ("" when the preset's shape is kept).
+ */
+std::string
+drawMemoryShape(std::uint64_t seed, GpuConfig &c)
+{
+    Rng rng(Rng::mixSeed(seed, 0x5ba9e));
+    if (!rng.chance(0.5))
+        return "";
+    // Biased toward the smallest legal sizes.
+    auto shrink = [&rng](std::uint32_t &field, std::uint32_t lo) {
+        const std::uint32_t pick[] = {lo, lo + 1, 2 * lo + 2, field};
+        field = std::max(lo, std::min(field, pick[rng.below(4)]));
+    };
+    shrink(c.dramSchedQueue, 1);
+    shrink(c.dramReturnQueue, 1);
+    shrink(c.l2AccessQueue, 1);
+    shrink(c.l2MissQueue, 2);
+    shrink(c.l2MshrMerge, 1);
+    shrink(c.l2RespQueue, c.l2MshrMerge);
+    shrink(c.reqEjQueuePackets, 1);
+    shrink(c.coreRespFifo, 1);
+    shrink(c.injQueuePackets, 1);
+    static const std::uint32_t kParts[] = {1, 2, 3, 4, 6, 8};
+    static const std::uint32_t kBanks[] = {1, 2, 4};
+    const std::uint32_t parts = kParts[rng.below(6)];
+    const std::uint32_t banks = kBanks[rng.below(3)];
+    if (c.l2TotalSizeBytes %
+            (std::uint64_t(parts * banks) * c.lineBytes * c.l2Assoc) ==
+        0) {
+        c.numPartitions = parts;
+        c.l2BanksPerPartition = banks;
+    }
+    // A sixth of the banks and channels can stretch a bandwidth-bound
+    // probe past the default cycle cap.
+    c.maxCoreCycles *= 10;
+    return csprintf(" [%ux%u banks, dram q %u/%u, l2 q %u/%u/%u merge %u, "
+                    "icnt q %u/%u/%u]",
+                    c.numPartitions, c.l2BanksPerPartition,
+                    c.dramSchedQueue, c.dramReturnQueue, c.l2AccessQueue,
+                    c.l2MissQueue, c.l2RespQueue, c.l2MshrMerge,
+                    c.injQueuePackets, c.reqEjQueuePackets,
+                    c.coreRespFifo);
+}
+
 Case
 drawCase(std::uint64_t seed)
 {
@@ -97,6 +152,7 @@ drawCase(std::uint64_t seed)
             : csprintf("fixed-%llu",
                        static_cast<unsigned long long>(rng.below(801)));
     EXPECT_TRUE(findConfigPreset(preset, c.config)) << preset;
+    const std::string shape = drawMemoryShape(seed, c.config);
 
     std::string workload;
     switch (rng.below(4)) {
@@ -127,9 +183,10 @@ drawCase(std::uint64_t seed)
         c.workload = randomTrace(rng, workload);
         break;
     }
-    c.describe = csprintf("seed %llu: %s on %s",
+    c.describe = csprintf("seed %llu: %s on %s%s",
                           static_cast<unsigned long long>(seed),
-                          workload.c_str(), preset.c_str());
+                          workload.c_str(), preset.c_str(),
+                          shape.c_str());
     return c;
 }
 
@@ -189,9 +246,17 @@ checkSeeds(std::uint64_t first, std::uint64_t count)
             return; // the first failing seed is the useful one
     }
     // Equivalence of a path nobody takes proves nothing: the budget
-    // as a whole must have put SMs to sleep.
-    EXPECT_GT(simSpeedTotals().sleptCoreCycles, before.sleptCoreCycles)
+    // as a whole must have put SMs, L2 banks and DRAM channels to
+    // sleep.
+    const SimSpeedTotals after = simSpeedTotals();
+    EXPECT_GT(after.sleptCoreCycles, before.sleptCoreCycles)
         << "no SM ever slept across seeds " << first << ".."
+        << first + count - 1;
+    EXPECT_GT(after.sleptL2Ticks, before.sleptL2Ticks)
+        << "no L2 bank ever slept across seeds " << first << ".."
+        << first + count - 1;
+    EXPECT_GT(after.sleptDramTicks, before.sleptDramTicks)
+        << "no DRAM channel ever slept across seeds " << first << ".."
         << first + count - 1;
 }
 
