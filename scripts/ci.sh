@@ -267,6 +267,40 @@ smoke() {
         exit 1
     }
 
+    echo "smoke: ideal hierarchies clock only the core domain"
+    # P-inf and fixed-<N> have nothing on the icnt and DRAM clocks, so
+    # the Gpu never registers those domains. That is byte-identical by
+    # construction, so no table would notice them coming back: the
+    # profiled run must tick neither, and its ticked plus skipped edges
+    # must be exactly its core cycles.
+    ./build/bwsim --dump-stats --config=fixed-200 --benches=nn \
+        --shrink=16 --profile-ticks --exec-stats \
+        > /dev/null 2> "$smoke_tmp/ideal.err"
+    for domain in icnt dram; do
+        grep -q "tick profile: domain=$domain ticks=0 " \
+            "$smoke_tmp/ideal.err" || {
+            echo "smoke FAIL: fixed-200 run ticked the $domain domain:" >&2
+            cat "$smoke_tmp/ideal.err" >&2
+            exit 1
+        }
+    done
+    awk '/sim speed:/ {
+             for (i = 1; i <= NF; ++i) {
+                 split($i, kv, "=")
+                 v[kv[1]] = kv[2]
+             }
+         }
+         END {
+             exit !(v["core-cycles"] > 0 &&
+                    v["ticked-edges"] + v["skipped-edges"] == \
+                        v["core-cycles"])
+         }' "$smoke_tmp/ideal.err" || {
+        echo "smoke FAIL: fixed-200 run's ticked + skipped edges are" \
+             "not its core cycles:" >&2
+        cat "$smoke_tmp/ideal.err" >&2
+        exit 1
+    }
+
     echo "smoke: hierarchy-variant config end-to-end"
     # One mitigation preset through the whole engine: the run must
     # complete and publish the per-level bandwidth formulas, and the

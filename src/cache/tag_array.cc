@@ -21,14 +21,21 @@ TagArray::TagArray(std::uint64_t size_bytes, std::uint32_t line_bytes,
     sets = static_cast<std::uint32_t>(
         size_bytes / (std::uint64_t(line_bytes) * assoc));
     bwsim_assert(sets > 0, "cache must have at least one set");
+    setsPow2 = isPowerOf2(sets);
     linesVec.resize(std::size_t(sets) * ways);
 }
 
 std::uint32_t
 TagArray::setIndex(Addr addr) const
 {
-    return static_cast<std::uint32_t>(
-        ((addr >> lineShift) / indexDivisor) % sets);
+    // Every probe, hit, reserve and fill lands here: divide only when
+    // the geometry needs it (a banked L2's divisor, a set count that
+    // is not a power of two).
+    Addr idx = addr >> lineShift;
+    if (indexDivisor != 1)
+        idx /= indexDivisor;
+    return static_cast<std::uint32_t>(setsPow2 ? idx & (sets - 1)
+                                               : idx % sets);
 }
 
 Addr

@@ -111,6 +111,7 @@ class TagArray
     std::uint32_t ways;
     std::uint32_t line;
     std::uint32_t indexDivisor;
+    bool setsPow2; ///< index sets by mask, not modulo
     unsigned lineShift;
     std::vector<Line> linesVec; ///< sets * ways, row-major by set
 };

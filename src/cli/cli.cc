@@ -630,8 +630,9 @@ struct PerfCase
     WorkloadSpec profile;
     GpuConfig config;
     bool latencyProbe = false;
-    /** Congested-coverage case, excluded from the fig10 aggregate. */
-    bool congestedExtra = false;
+    /** Coverage case (congested or ideal hierarchy), excluded from
+     *  the fig10 aggregate. */
+    bool coverageOnly = false;
 
     std::uint64_t coreCycles = 0;
     double lockstepSec = 0.0;
@@ -699,7 +700,8 @@ timeOneRun(PerfCase &pc, SchedulerMode mode)
 /**
  * The `bwsim perf` harness: a pinned mini-sweep (three Fig. 10
  * benchmarks at shrink=8 on the baseline and fully-scaled configs,
- * plus shrunk bfs as the congested-backpressure coverage case)
+ * plus shrunk bfs as the congested-backpressure coverage case and
+ * shrunk nn on fixed-200 as the ideal-hierarchy one)
  * plus the tiny-latency probe, each simulated under the lockstep and
  * cycle-skip schedulers with per-profile wall time, simulation rate
  * and edge counts written as JSON to @p out_path. Runs are
@@ -745,9 +747,25 @@ runPerf(const std::string &out_path, std::ostream &out, std::ostream &err)
             pc.label = csprintf("congested:bfs/%s", cfg_name);
             pc.profile = shrinkProfile(*p, kShrink);
             pc.config = cfg;
-            pc.congestedExtra = true;
+            pc.coverageOnly = true;
             cases.push_back(std::move(pc));
         }
+    }
+    // The ideal-hierarchy coverage case: a Fig. 3 fixed-latency run,
+    // clocked on the core domain alone. Labelled "ideal:" and kept out
+    // of the fig10 aggregate like the congested rows.
+    {
+        const BenchmarkProfile *p = findBenchmark("nn");
+        bwsim_assert(p, "perf harness bench 'nn' missing");
+        GpuConfig cfg;
+        bool ok = findConfigPreset("fixed-200", cfg);
+        bwsim_assert(ok, "perf harness config 'fixed-200' missing");
+        PerfCase pc;
+        pc.label = "ideal:nn/fixed-200";
+        pc.profile = shrinkProfile(*p, kShrink);
+        pc.config = cfg;
+        pc.coverageOnly = true;
+        cases.push_back(std::move(pc));
     }
     {
         PerfCase pc;
@@ -784,7 +802,7 @@ runPerf(const std::string &out_path, std::ostream &out, std::ostream &err)
     for (const auto &pc : cases) {
         if (pc.latencyProbe) {
             probe_speedup = pc.speedup();
-        } else if (!pc.congestedExtra) {
+        } else if (!pc.coverageOnly) {
             fig10_ls_sec += pc.lockstepSec;
             fig10_sk_sec += pc.skipSec;
             fig10_cycles += pc.coreCycles;

@@ -36,34 +36,42 @@ Gpu::Gpu(const GpuConfig &config, const WorkloadSpec &workload)
     memSys = makeMemSystem(cfg, &alloc, statsRoot);
 
     // Intra-instant ordering: drains first (DRAM), then the crossbar
-    // and L2, then the cores that feed them.
-    dramDomain = clocks.addDomain("dram", cfg.dramClockMhz,
-                                  profiledTick(0, [this] {
-                                      memSys->dramTick(clocks.nowPs());
-                                  }));
-    icntDomain = clocks.addDomain("icnt", cfg.icntClockMhz,
-                                  profiledTick(1, [this] {
-                                      memSys->icntTick(clocks.nowPs());
-                                  }));
+    // and L2, then the cores that feed them. A hierarchy with nothing
+    // on the memory-side clocks (the ideal ones) runs on the core
+    // clock alone: no empty edges to tick or skip.
+    const bool mem_clocks = memSys->hasMemoryClocks();
+    std::size_t dram_domain = 0, icnt_domain = 0;
+    if (mem_clocks) {
+        dram_domain = clocks.addDomain("dram", cfg.dramClockMhz,
+                                       profiledTick(0, [this] {
+                                           memSys->dramTick(clocks.nowPs());
+                                       }));
+        icnt_domain = clocks.addDomain("icnt", cfg.icntClockMhz,
+                                       profiledTick(1, [this] {
+                                           memSys->icntTick(clocks.nowPs());
+                                       }));
+    }
     coreDomain = clocks.addDomain("core", cfg.coreClockMhz,
                                   profiledTick(2, [this] { coreTick(); }));
     registerTickProfileStats();
 
-    clocks.domain(dramDomain)
+    clocks.domain(coreDomain)
+        .setSkipHooks([this] { return coreQuiesceHorizon(); },
+                      [this](std::uint64_t n) { coreSkip(n); });
+    if (!mem_clocks)
+        return;
+    clocks.domain(dram_domain)
         .setSkipHooks([this] { return memSys->dramHorizon(); },
                       [this](std::uint64_t n) {
                           if (memSys->dramSkip(n))
                               recordFusedSpan(n);
                       });
-    clocks.domain(icntDomain)
+    clocks.domain(icnt_domain)
         .setSkipHooks([this] { return memSys->icntHorizon(); },
                       [this](std::uint64_t n) {
                           if (memSys->icntSkip(n))
                               recordFusedSpan(n);
                       });
-    clocks.domain(coreDomain)
-        .setSkipHooks([this] { return coreQuiesceHorizon(); },
-                      [this](std::uint64_t n) { coreSkip(n); });
 
     // Which horizons an executed tick can change, following the data
     // flow between domains: a core tick touches the networks' injection
@@ -73,10 +81,10 @@ Gpu::Gpu(const GpuConfig &config, const WorkloadSpec &workload)
     // (fills travel via the L2/reply network first) and a core tick
     // cannot wake DRAM directly, which is what lets the core domain
     // keep skipping across a long DRAM-busy span.
-    clocks.setAffects(coreDomain, {coreDomain, icntDomain});
-    clocks.setAffects(icntDomain,
-                      {coreDomain, icntDomain, dramDomain});
-    clocks.setAffects(dramDomain, {icntDomain, dramDomain});
+    clocks.setAffects(coreDomain, {coreDomain, icnt_domain});
+    clocks.setAffects(icnt_domain,
+                      {coreDomain, icnt_domain, dram_domain});
+    clocks.setAffects(dram_domain, {icnt_domain, dram_domain});
 }
 
 Gpu::~Gpu() = default;
@@ -245,51 +253,23 @@ Gpu::flushSleep()
 std::uint64_t
 Gpu::coreQuiesceHorizon()
 {
-    // A reply ready for some core, or a pending miss its port can
-    // take, pins the horizon before any core state is read (and
-    // before sleeping cores need charging).
-    if (memSys->coreWakeMask(outgoingMask) != 0)
+    // The per-SM sleep state is the answer. An SM left awake after its
+    // visit had a zero horizon (its own or coreHorizon()), so the
+    // domain is integrable only while every SM sleeps and no port can
+    // wake one -- and then up to the earliest timed wake.
+    if (asleepMask != allCores || memSys->coreWakeMask(outgoingMask) != 0)
         return 0;
-    flushSleep();
-
-    // Cheapest rejections first: a busy core (memoized inside SmCore)
-    // pins the horizon before the MemSystem's pipe maturities are
-    // consulted. The scan starts at the core that vetoed last time --
-    // an active core usually stays active, so a pinned horizon is
-    // rediscovered in one probe.
-    std::uint64_t h = kInfiniteHorizon;
-    for (int i = 0; i < cfg.numCores; ++i) {
-        int c = lastCoreVeto + i;
-        if (c >= cfg.numCores)
-            c -= cfg.numCores;
-        std::uint64_t ch = cores[c]->quiesceHorizon();
-        if (ch == 0) {
-            lastCoreVeto = c;
-            return 0;
-        }
-        h = std::min(h, ch);
-        std::uint64_t mh = memSys->coreHorizon(c, coreCycleCount);
-        if (mh == 0) {
-            lastCoreVeto = c;
-            return 0;
-        }
-        h = std::min(h, mh);
-    }
-    return h;
+    return nextTimedWake == kInfiniteHorizon
+               ? kInfiniteHorizon
+               : nextTimedWake - coreCycleCount;
 }
 
 void
 Gpu::coreSkip(std::uint64_t n)
 {
-    flushSleep();
+    // Every SM sleeps through the span: each is charged from its own
+    // stamp when it wakes, or at the end of run().
     coreCycleCount += n;
-    bool fused = false;
-    for (int c = 0; c < cfg.numCores; ++c) {
-        fused |= cores[c]->skipCycles(n);
-        coreSleep[c].sleptFrom += n; // charged just now
-    }
-    if (fused)
-        recordFusedSpan(n);
 }
 
 bool

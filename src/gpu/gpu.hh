@@ -2,8 +2,9 @@
  * @file
  * Gpu: the full modelled chip -- 15 SIMT cores in front of a pluggable
  * MemSystem (crossbars + memory partitions, or one of the paper's
- * ideal-memory models) -- advanced by a three-domain clock
- * (core / crossbar+L2 / DRAM).
+ * ideal-memory models) -- advanced by a multi-domain clock: the core
+ * domain, plus the crossbar+L2 and DRAM domains when the MemSystem has
+ * components on them (MemSystem::hasMemoryClocks()).
  *
  * The Gpu is also the WorkSource feeding CTAs from the selected
  * WorkloadSpec (synthetic profile, trace replay, or generator probe)
@@ -88,9 +89,11 @@ class Gpu : public WorkSource
 
   private:
     void coreTick();
-    /** Core-domain quiescence horizon (min over cores + MemSystem). */
+    /** Core-domain quiescence horizon, read off the per-SM sleep
+     *  state: edges until the earliest timed wake while every SM
+     *  sleeps and no port wake is pending, else 0. */
     std::uint64_t coreQuiesceHorizon();
-    /** Integrate a skipped core-domain span into every core. */
+    /** Advance the core cycle over a skipped span (every SM asleep). */
     void coreSkip(std::uint64_t n);
 
     /**
@@ -114,11 +117,17 @@ class Gpu : public WorkSource
      * crossbar's eject-ready / inject-full bitmasks behind
      * coreWakeMask().
      *
+     * The sleep state also decides the core domain's skip: every SM
+     * left awake had a zero horizon at its visit, so the domain can
+     * skip only while asleepMask covers every SM and coreWakeMask()
+     * is empty, up to nextTimedWake. A skipped span only advances the
+     * cycle count; the sleeping SMs' stamps cover it.
+     *
      * Invariant: slept cycles are charged before anything reads core
-     * counters or horizons -- the wake-up visit, coreQuiesceHorizon(),
-     * coreSkip() and the end of run() (so harvest() and dumpStats()
-     * see lockstep-identical state). runCycles() and lockstep run the
-     * same loop with nothing ever asleep.
+     * counters or horizons -- the wake-up visit and the end of run()
+     * (so harvest() and dumpStats() see lockstep-identical state).
+     * runCycles() and lockstep run the same loop with nothing ever
+     * asleep.
      */
     /**@{*/
     struct CoreSleep
@@ -152,7 +161,8 @@ class Gpu : public WorkSource
 
     /**
      * Per-domain tick-cost telemetry (--profile-ticks). Slots are
-     * fixed (0 = dram, 1 = icnt, 2 = core); the log2Ns histogram
+     * fixed (0 = dram, 1 = icnt, 2 = core), so a chip running on the
+     * core clock alone reports zero dram/icnt ticks; the log2Ns histogram
      * buckets one tick's wall cost at floor(log2(ns)), capped at the
      * last bucket. Only populated -- and only registered as a stats
      * group -- when the profiler is enabled, so the default stats
@@ -179,10 +189,8 @@ class Gpu : public WorkSource
     MemFetchAllocator alloc;
 
     MultiClock clocks;
-    std::size_t coreDomain = 0, icntDomain = 0, dramDomain = 0;
+    std::size_t coreDomain = 0;
     std::uint64_t coreCycleCount = 0;
-    /** Core that vetoed the last horizon probe; scanned first next. */
-    int lastCoreVeto = 0;
 
     /** Root of the stats tree; components register into it below. */
     stats::Group statsRoot{"gpu"};

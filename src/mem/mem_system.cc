@@ -5,6 +5,18 @@
 namespace bwsim
 {
 
+void
+MemSystem::icntTick(double)
+{
+    panic("icnt tick on a memory system without memory clocks");
+}
+
+void
+MemSystem::dramTick(double)
+{
+    panic("DRAM tick on a memory system without memory clocks");
+}
+
 NormalMemSystem::NormalMemSystem(const GpuConfig &config,
                                  MemFetchAllocator *allocator,
                                  stats::Group &stats_parent)
@@ -279,19 +291,17 @@ void
 IdealMemSystem::deliverResponses(int core_id, SmCore &core, double now_ps,
                                  std::uint64_t core_cycle)
 {
-    service(core_id, core, now_ps, core_cycle);
+    // acceptRequests() drained every miss after the core's last tick
+    // (delivering a fill queues none), so only the pipes can act.
+    for (auto *pipe : {&pipesFast[core_id], &pipesSlow[core_id]}) {
+        while (pipe->ready(core_cycle))
+            core.deliverResponse(pipe->pop(), now_ps);
+    }
 }
 
 void
 IdealMemSystem::acceptRequests(int core_id, SmCore &core, double now_ps,
                                std::uint64_t core_cycle)
-{
-    service(core_id, core, now_ps, core_cycle);
-}
-
-void
-IdealMemSystem::service(int core_id, SmCore &core, double now_ps,
-                        std::uint64_t core_cycle)
 {
     // Infinite-bandwidth backend: drain every miss the core produced
     // and schedule its response at the mode's fixed latency.
@@ -331,19 +341,14 @@ IdealMemSystem::service(int core_id, SmCore &core, double now_ps,
         auto &pipe = fast ? pipesFast[core_id] : pipesSlow[core_id];
         pipe.push(mf, core_cycle + lat);
     }
-
-    for (auto *pipe : {&pipesFast[core_id], &pipesSlow[core_id]}) {
-        while (pipe->ready(core_cycle)) {
-            MemFetch *mf = pipe->pop();
-            core.deliverResponse(mf, now_ps);
-        }
-    }
+    // A zero latency (fixed-0) makes a response ready this very cycle.
+    deliverResponses(core_id, core, now_ps, core_cycle);
 }
 
 std::uint64_t
 IdealMemSystem::coreHorizon(int core_id, std::uint64_t core_cycle) const
 {
-    // service() leaves no outgoing miss behind, so only pipe
+    // acceptRequests() leaves no outgoing miss behind, so only pipe
     // maturities matter here. Pipes are keyed on the
     // pre-incremented core cycle: an entry ready at X is delivered on
     // the tick that makes the counter X.

@@ -64,11 +64,19 @@ class MemSystem
     virtual void acceptRequests(int core_id, SmCore &core, double now_ps,
                                 std::uint64_t core_cycle) = 0;
 
-    /** One interconnect/L2 clock cycle. */
-    virtual void icntTick(double now_ps) = 0;
+    /**
+     * Whether any component runs on the interconnect/L2 and DRAM
+     * clocks. The Gpu registers those two domains, and calls the
+     * icnt/DRAM hooks below, only when this is true; otherwise the
+     * chip runs on the core clock alone.
+     */
+    virtual bool hasMemoryClocks() const = 0;
 
-    /** One DRAM command-clock cycle. */
-    virtual void dramTick(double now_ps) = 0;
+    /** One interconnect/L2 clock cycle (hasMemoryClocks() only). */
+    virtual void icntTick(double now_ps);
+
+    /** One DRAM command-clock cycle (hasMemoryClocks() only). */
+    virtual void dramTick(double now_ps);
 
     /** No request or response is buffered anywhere below the cores. */
     virtual bool drained() const = 0;
@@ -183,6 +191,7 @@ class NormalMemSystem : public MemSystem
                           std::uint64_t core_cycle) override;
     void acceptRequests(int core_id, SmCore &core, double now_ps,
                         std::uint64_t core_cycle) override;
+    bool hasMemoryClocks() const override { return true; }
     void icntTick(double now_ps) override;
     void dramTick(double now_ps) override;
     bool drained() const override;
@@ -228,6 +237,10 @@ class NormalMemSystem : public MemSystem
  * infinite L2 with fixed hit/DRAM latencies, modelled by a perfect
  * tag array) and the Fig. 3 FixedL1Lat mode (every miss returns after
  * one constant latency). Stores vanish into the ideal sink.
+ *
+ * Nothing here runs on the interconnect or DRAM clocks: all its work
+ * happens during a core's own visit, keyed on the core cycle, so the
+ * Gpu clocks the core domain alone.
  */
 class IdealMemSystem : public MemSystem
 {
@@ -235,30 +248,23 @@ class IdealMemSystem : public MemSystem
     IdealMemSystem(const GpuConfig &config, MemFetchAllocator *allocator,
                    stats::Group &stats_parent);
 
+    /** Deliver the pipe entries matured by @p core_cycle. */
     void deliverResponses(int core_id, SmCore &core, double now_ps,
                           std::uint64_t core_cycle) override;
+    /** Drain every miss the core's tick produced, then deliver what
+     *  is ready in the same cycle (a zero fixed latency). */
     void acceptRequests(int core_id, SmCore &core, double now_ps,
                         std::uint64_t core_cycle) override;
-    void icntTick(double) override {}
-    void dramTick(double) override {}
+    bool hasMemoryClocks() const override { return false; }
     bool drained() const override;
 
-    /** Icnt/DRAM ticks are empty here: every edge is skippable. */
     std::uint64_t coreHorizon(int core_id,
                               std::uint64_t core_cycle) const override;
-    /** service() drains every miss during the core's own visit, and
-     *  the pipes mature on coreHorizon()'s time base. */
+    /** acceptRequests() drains every miss during the core's own
+     *  visit, and the pipes mature on coreHorizon()'s time base. */
     std::uint64_t coreWakeMask(std::uint64_t) const override { return 0; }
-    std::uint64_t icntHorizon() const override { return kInfiniteHorizon; }
-    std::uint64_t dramHorizon() const override { return kInfiniteHorizon; }
-    bool icntSkip(std::uint64_t) override { return false; }
-    bool dramSkip(std::uint64_t) override { return false; }
 
   private:
-    /** Drain the core's misses and deliver matured responses. */
-    void service(int core_id, SmCore &core, double now_ps,
-                 std::uint64_t core_cycle);
-
     const GpuConfig &cfg;
     MemFetchAllocator *alloc;
 

@@ -51,18 +51,21 @@ struct SimSpeedTotals
     std::uint64_t tickedEdges = 0;
     std::uint64_t skippedEdges = 0;
     /**
-     * Fused spans: skipped spans whose integration charged per-cycle
-     * counters in bulk (memoized stall replays, eject-blocked cycles,
-     * DRAM pending cycles) rather than being observable no-ops.
-     * fusedCycles counts the edges so integrated; every fused cycle is
-     * also in skippedEdges (fused is a subset marker, not disjoint).
+     * Fused spans: skipped icnt or DRAM spans whose integration
+     * charged per-cycle counters in bulk (memoized L2 stall replays,
+     * eject-blocked cycles, DRAM pending cycles) rather than being
+     * observable no-ops. A core-domain span never counts: every SM
+     * sleeps through it and is charged on its own stamp. fusedCycles
+     * counts the edges so integrated; every fused cycle is also in
+     * skippedEdges (fused is a subset marker, not disjoint).
      */
     std::uint64_t fusedSpans = 0;
     std::uint64_t fusedCycles = 0;
     /**
      * SM ticks replaced by bulk charges while that SM slept on its own
-     * horizon (per-SM sleep, see Gpu). Independent of the domain-level
-     * edge counts: a slept tick falls on an executed core edge.
+     * horizon (per-SM sleep, see Gpu): its slept share of executed
+     * core edges, plus every core edge the domain skipped, since all
+     * SMs sleep through a skipped core span.
      */
     std::uint64_t sleptCoreCycles = 0;
     /** L2-bank and DRAM-channel ticks replaced by bulk charges while

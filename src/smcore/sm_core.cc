@@ -400,17 +400,20 @@ SmCore::issueStage()
             if (schedListDirty)
                 rebuildSchedLists();
             const auto &list = schedList[s];
-            std::size_t start = (cfg.sched == SchedPolicy::Lrr)
-                                    ? std::size_t(lrrPtr[s]) % list.size()
-                                    : 0;
+            const std::size_t n = list.size();
+            std::size_t i = (cfg.sched == SchedPolicy::Lrr)
+                                ? std::size_t(lrrPtr[s]) % n
+                                : 0;
             std::size_t k = 0;
-            while (k < list.size() &&
-                   !((ready >> list[(start + k) % list.size()]) & 1))
+            while (k < n && !((ready >> list[i]) & 1)) {
                 ++k;
-            bwsim_assert(k < list.size(),
+                if (++i == n)
+                    i = 0;
+            }
+            bwsim_assert(k < n,
                          "core %d: ready warp missing from schedList",
                          cfg.coreId);
-            w = list[(start + k) % list.size()];
+            w = list[i];
         }
 
         WarpInstData &inst = ibufAt(w, 0);
@@ -658,26 +661,10 @@ SmCore::tick(double now_ps)
 
     if (!finishedLatched && done())
         finishedLatched = true;
-    qhValid = false;
 }
 
 std::uint64_t
 SmCore::quiesceHorizon()
-{
-    // The horizon is hot under the cycle-skip scheduler: every
-    // executed crossbar edge re-queries the core domain's horizon. The
-    // result only depends on core-internal state, so it stays valid
-    // until the next tick()/deliverResponse() and just shrinks as
-    // cycles are skipped (events sit at absolute cycle stamps).
-    if (qhValid)
-        return qhCache;
-    qhCache = computeQuiesceHorizon();
-    qhValid = true;
-    return qhCache;
-}
-
-std::uint64_t
-SmCore::computeQuiesceHorizon()
 {
     // Any stage that could act on the very next tick in a way a bulk
     // charge cannot reproduce pins the horizon at 0: dispatch, a
@@ -772,7 +759,7 @@ SmCore::integrateFetchRotation(std::uint64_t n)
     fetchPtr = (last + 1) % int(warps.size());
 }
 
-bool
+void
 SmCore::skipCycles(std::uint64_t n)
 {
     cycle += n;
@@ -786,21 +773,14 @@ SmCore::skipCycles(std::uint64_t n)
         ctr.issueStalls[static_cast<unsigned>(skipStallCause)] += n;
     // Fused charges: the horizon only reported this span because the
     // memoized retries below were valid, and no state they consult can
-    // have changed since (skips are flushed before any tick at the
-    // next executed instant), so re-deriving from live state replays
-    // exactly what n lockstep ticks would have counted.
-    bool fused = false;
-    if (lsuOccupied > 0) {
+    // have changed since (a sleeping SM's state changes only during
+    // its own visit, and it is charged before that visit), so
+    // re-deriving from live state replays exactly what n lockstep
+    // ticks would have counted.
+    if (lsuOccupied > 0)
         l1dCache->countStalls(memRetryCause, n);
-        fused = true;
-    }
-    if (fetchEligible != 0) {
+    if (fetchEligible != 0)
         integrateFetchRotation(n);
-        fused = true;
-    }
-    if (qhValid && qhCache != kInfiniteHorizon)
-        qhCache = qhCache > n ? qhCache - n : 0;
-    return fused;
 }
 
 bool
@@ -844,7 +824,6 @@ SmCore::popOutgoing()
 void
 SmCore::deliverResponse(MemFetch *mf, double now_ps)
 {
-    qhValid = false;
     mf->tReplyBack = now_ps;
     ctr.replyBytesIn += mf->replyBytes();
     if (mf->type == AccessType::GlobalRead) {

@@ -173,10 +173,10 @@ class SmCore
      * Also precomputes the (frozen) per-cycle stall classification the
      * skipped span will be attributed to by skipCycles().
      *
-     * The result is memoized and shrinks with every skipCycles(), so it
-     * is only current once every skipped cycle has been charged: a
-     * caller that defers skipCycles() (the Gpu's per-SM sleep) must
-     * flush the owed cycles before it reads the horizon or counters().
+     * The Gpu reads it once per visit, right after the tick, to decide
+     * whether the SM sleeps; a sleeping SM's folded wake cycle stands
+     * in for it until the SM wakes and is charged, so the horizon is
+     * never read with cycles owed.
      */
     std::uint64_t quiesceHorizon();
 
@@ -187,10 +187,11 @@ class SmCore
      * (including the fetch round-robin rotation, integrated in closed
      * form). Valid only on a span the horizon declared integrable.
      * Additive: skipCycles(a) then skipCycles(b) equals
-     * skipCycles(a + b), so a span may be charged in pieces.
-     * Returns true iff fused (memoized) charges were applied.
+     * skipCycles(a + b), so a span may be charged in pieces. The Gpu
+     * charges a sleeping SM in one call when it wakes (or at the end
+     * of the run), core-domain skips included.
      */
-    bool skipCycles(std::uint64_t n);
+    void skipCycles(std::uint64_t n);
 
     /** All CTAs issued to this core have retired and pipes are empty. */
     bool done() const;
@@ -288,7 +289,6 @@ class SmCore
     /** Entry @p k (0 = head) of @p warp's I-buffer ring. */
     WarpInstData &ibufAt(int warp, int k);
     void popIbufHead(int warp);
-    std::uint64_t computeQuiesceHorizon();
     void integrateFetchRotation(std::uint64_t n);
 
     CoreParams cfg;
@@ -411,10 +411,6 @@ class SmCore
     bool finishedLatched = false;
     /** Stall cause a skipped span integrates (see quiesceHorizon). */
     IssueStall skipStallCause = IssueStall::Fetch;
-    /** Memoized quiesceHorizon(): valid until the core's own state
-     *  changes (tick / response delivery); shrinks across skips. */
-    std::uint64_t qhCache = 0;
-    bool qhValid = false;
     CoreCounters ctr;
 };
 

@@ -9,15 +9,28 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <sstream>
 
 #include "gpu/gpu.hh"
 #include "mem/mem_system.hh"
+#include "sim/sim_speed.hh"
 
 using namespace bwsim;
 
 namespace
 {
+
+struct ScopedSchedulerMode
+{
+    explicit ScopedSchedulerMode(SchedulerMode m)
+        : saved(schedulerMode())
+    {
+        setSchedulerMode(m);
+    }
+    ~ScopedSchedulerMode() { setSchedulerMode(saved); }
+    SchedulerMode saved;
+};
 
 GpuConfig
 quickConfig(GpuConfig c = GpuConfig::baseline())
@@ -99,6 +112,69 @@ TEST_P(MemSystemDrain, CompletesAndDrains)
 }
 
 INSTANTIATE_TEST_SUITE_P(Modes, MemSystemDrain, ::testing::Range(0, 4));
+
+/**
+ * The ideal hierarchies have nothing on the icnt and DRAM clocks, so
+ * the chip runs on the core clock alone: every clock edge is a core
+ * edge, ticked under lockstep and ticked or skipped under skip. An
+ * extra domain would add edges that are not core cycles.
+ */
+TEST(ClockDomains, IdealHierarchiesClockOnlyTheCoreDomain)
+{
+    for (const GpuConfig &base :
+         {GpuConfig::perfectMem(), GpuConfig::fixedL1Lat(0),
+          GpuConfig::fixedL1Lat(200)}) {
+        for (SchedulerMode mode :
+             {SchedulerMode::Lockstep, SchedulerMode::Skip}) {
+            ScopedSchedulerMode guard(mode);
+            Gpu gpu(quickConfig(base), makeTestProfile("tiny-latency"));
+            EXPECT_FALSE(gpu.memSystem().hasMemoryClocks());
+            const SimSpeedTotals before = simSpeedTotals();
+            SimResult r = gpu.run();
+            const SimSpeedTotals after = simSpeedTotals();
+            ASSERT_FALSE(r.timedOut) << base.name;
+            const std::uint64_t ticked =
+                after.tickedEdges - before.tickedEdges;
+            const std::uint64_t skipped =
+                after.skippedEdges - before.skippedEdges;
+            const char *m = schedulerModeName(mode);
+            EXPECT_EQ(ticked + skipped, r.coreCycles) << base.name << m;
+            if (mode == SchedulerMode::Lockstep) {
+                EXPECT_EQ(ticked, r.coreCycles) << base.name << m;
+            }
+        }
+    }
+}
+
+/**
+ * P_DRAM idealizes only the channel inside each partition: its DRAM
+ * clock still runs, because gpu.bw.dram_cycles and the L2<->DRAM
+ * bytes-per-cycle formulas count its edges. No table or scheduler
+ * differential would notice that clock going missing (both schedulers
+ * would lose it alike), so pin it: the DRAM cycle count matches the
+ * elapsed time at the DRAM frequency.
+ */
+TEST(ClockDomains, IdealDramStillTicksItsDramClock)
+{
+    for (SchedulerMode mode :
+         {SchedulerMode::Lockstep, SchedulerMode::Skip}) {
+        ScopedSchedulerMode guard(mode);
+        const GpuConfig cfg = quickConfig(GpuConfig::idealDram());
+        Gpu gpu(cfg, makeTestProfile("tiny-stream"));
+        EXPECT_TRUE(gpu.memSystem().hasMemoryClocks());
+        SimResult r = gpu.run();
+        ASSERT_FALSE(r.timedOut);
+        const stats::Group *bw = gpu.statsTree().child("bw");
+        ASSERT_NE(bw, nullptr);
+        const stats::StatBase *dc = bw->stat("dram_cycles");
+        ASSERT_NE(dc, nullptr);
+        const double expected = r.elapsedPs * cfg.dramClockMhz / 1e6;
+        EXPECT_GT(dc->value(), 0.0);
+        EXPECT_LE(std::fabs(dc->value() - expected), 1.0 + 1e-6)
+            << schedulerModeName(mode) << ": " << dc->value()
+            << " DRAM cycles over " << r.elapsedPs << " ps";
+    }
+}
 
 TEST(MemSystem, NormalAndIdealAgreeWithHarvestSemantics)
 {

@@ -155,3 +155,23 @@ TEST(TagArray, WithoutDivisorAliasingOccurs)
     }
     EXPECT_TRUE(evicted);
 }
+
+/**
+ * A set count that is not a power of two (P-inf's 768 KB perfect L2:
+ * 768 sets of 8 ways) must index by modulo: 6,144 consecutive lines
+ * spread exactly 8 per set, so each one fills a vacant way.
+ */
+TEST(TagArray, NonPowerOfTwoSetCountUsesEverySet)
+{
+    TagArray t(768 * 1024, 128, 8);
+    ASSERT_EQ(t.numSets(), 768u);
+    for (std::uint64_t i = 0; i < 6144; ++i) {
+        ProbeOutcome p = t.probe(line(i));
+        ASSERT_EQ(p.result, ProbeResult::MissVacant)
+            << "line " << i << " had to evict: set aliasing";
+        t.reserve(line(i), p.way, i);
+        t.fill(line(i), i, false);
+    }
+    for (std::uint64_t i = 0; i < 6144; ++i)
+        EXPECT_TRUE(t.isValid(line(i)));
+}
