@@ -101,9 +101,9 @@ def main():
               f"({ratio:.2f}x of baseline){marker}")
 
     # The skip scheduler must not lose to lockstep on any profile of
-    # the fresh report itself: congested profiles are exactly where the
-    # fused-span machinery has to pay for its horizon sweeps, so a
-    # sub-1.0x row means the fusion heuristics regressed even if the
+    # the fresh report itself: congested profiles are exactly where
+    # per-component sleep has to pay for its horizon checks on every
+    # visit, so a sub-1.0x row means sleep regressed even if the
     # absolute rate still clears the baseline threshold.
     for name, f in fresh_profiles.items():
         s = skip_speedup(f)
@@ -126,7 +126,7 @@ def main():
         print(f"  latency probe speedup: {probe:.2f}x (must stay > 1)")
         if probe <= 1.0:
             failures.append(
-                f"latency probe speedup {probe:.2f}x: cycle-skip "
+                f"latency probe speedup {probe:.2f}x: skip "
                 "scheduler no longer beats lockstep")
 
     if failures:

@@ -274,8 +274,9 @@ class CacheModel
 
     /**
      * Account @p n stalled cycles against @p cause in one shot: the
-     * span-integration path of a fused skip. Only valid for causes a
-     * memoized retry proves constant over the span (never PortBusy).
+     * bulk charge for a sleeping SM or L2 bank's memoized retry. Only
+     * valid for causes the memo proves constant over those cycles
+     * (never PortBusy).
      */
     void
     countStalls(CacheStallCause cause, std::uint64_t n)

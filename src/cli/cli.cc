@@ -408,19 +408,20 @@ printUsage(std::ostream &os)
           "                    the directory fits in N MB\n"
           "  --exec-stats      print cache/backend counters and the\n"
           "                    simulation-speed report (core-cycles,\n"
-          "                    wall seconds, cycles/sec, ticked vs\n"
-          "                    skipped clock edges, fused spans) to\n"
-          "                    stderr\n"
+          "                    wall seconds, cycles/sec, ticked clock\n"
+          "                    edges, slept SM/L2-bank/DRAM-channel\n"
+          "                    ticks) to stderr\n"
           "  --profile-ticks   time every executed clock-domain tick:\n"
           "                    per-domain cost histograms appear as a\n"
           "                    'tick_profile' group in --dump-stats\n"
           "                    trees and totals in the --exec-stats\n"
           "                    epilogue (also BWSIM_PROFILE_TICKS=1);\n"
           "                    simulated results are unchanged\n"
-          "  --scheduler=M     clock scheduler: skip (default;\n"
-          "                    cycle-skipping event scheduler) or\n"
-          "                    lockstep (tick every edge); results\n"
-          "                    are bit-identical either way\n"
+          "  --scheduler=M     clock scheduler: skip (default; each\n"
+          "                    SM, L2 bank and DRAM channel sleeps\n"
+          "                    on its own horizon) or lockstep (all\n"
+          "                    tick every edge); results are\n"
+          "                    bit-identical either way\n"
           "  --perf-out=FILE   where `bwsim perf` writes its JSON\n"
           "                    report (default BENCH_fig10.json)\n"
           "  --help            this message\n"
@@ -538,17 +539,13 @@ printExecStats(std::ostream &err)
     err << csprintf(
         "bwsim: sim speed: scheduler=%s runs=%llu "
         "core-cycles=%llu wall=%.3fs cycles/sec=%.4g "
-        "ticked-edges=%llu skipped-edges=%llu "
-        "fused-spans=%llu fused-cycles=%llu sm-slept=%llu "
-        "l2-slept=%llu dram-slept=%llu\n",
+        "ticked-edges=%llu sm-slept=%llu l2-slept=%llu "
+        "dram-slept=%llu\n",
         schedulerModeName(schedulerMode()),
         static_cast<unsigned long long>(speed.runs),
         static_cast<unsigned long long>(speed.coreCycles),
         double(speed.wallNanos) / 1e9, speed.cyclesPerSec(),
         static_cast<unsigned long long>(speed.tickedEdges),
-        static_cast<unsigned long long>(speed.skippedEdges),
-        static_cast<unsigned long long>(speed.fusedSpans),
-        static_cast<unsigned long long>(speed.fusedCycles),
         static_cast<unsigned long long>(speed.sleptCoreCycles),
         static_cast<unsigned long long>(speed.sleptL2Ticks),
         static_cast<unsigned long long>(speed.sleptDramTicks));
@@ -561,14 +558,6 @@ printExecStats(std::ostream &err)
                 static_cast<unsigned long long>(d.ticks),
                 double(d.nanos) / 1e9, d.avgNanos());
         }
-        err << csprintf(
-            "bwsim: tick profile: fused-spans=%llu fused-cycles=%llu "
-            "avg-cycles-per-span=%.1f\n",
-            static_cast<unsigned long long>(speed.fusedSpans),
-            static_cast<unsigned long long>(speed.fusedCycles),
-            speed.fusedSpans
-                ? double(speed.fusedCycles) / double(speed.fusedSpans)
-                : 0.0);
     }
 }
 
@@ -641,9 +630,6 @@ struct PerfCase
      *  two schedulers, so each ratio pairs adjacent-in-time runs). */
     std::vector<double> ratios;
     std::uint64_t tickedEdges = 0;
-    std::uint64_t skippedEdges = 0;
-    std::uint64_t fusedSpans = 0;
-    std::uint64_t fusedCycles = 0;
     std::uint64_t sleptCoreCycles = 0;
     std::uint64_t sleptL2Ticks = 0;
     std::uint64_t sleptDramTicks = 0;
@@ -686,9 +672,6 @@ timeOneRun(PerfCase &pc, SchedulerMode mode)
     pc.coreCycles = r.coreCycles;
     if (mode == SchedulerMode::Skip) {
         pc.tickedEdges = after.tickedEdges - before.tickedEdges;
-        pc.skippedEdges = after.skippedEdges - before.skippedEdges;
-        pc.fusedSpans = after.fusedSpans - before.fusedSpans;
-        pc.fusedCycles = after.fusedCycles - before.fusedCycles;
         pc.sleptCoreCycles =
             after.sleptCoreCycles - before.sleptCoreCycles;
         pc.sleptL2Ticks = after.sleptL2Ticks - before.sleptL2Ticks;
@@ -703,8 +686,8 @@ timeOneRun(PerfCase &pc, SchedulerMode mode)
  * plus shrunk bfs as the congested-backpressure coverage case and
  * shrunk nn on fixed-200 as the ideal-hierarchy one)
  * plus the tiny-latency probe, each simulated under the lockstep and
- * cycle-skip schedulers with per-profile wall time, simulation rate
- * and edge counts written as JSON to @p out_path. Runs are
+ * skip schedulers with per-profile wall time, simulation rate, edge
+ * and slept-tick counts written as JSON to @p out_path. Runs are
  * best-of-@c kReps single-threaded simulations, so the numbers are
  * comparable across commits on the same machine.
  */
@@ -864,8 +847,7 @@ runPerf(const std::string &out_path, std::ostream &out, std::ostream &err)
             "\"core_cycles\": %llu, "
             "\"lockstep\": {\"wall_sec\": %.6f, \"cycles_per_sec\": "
             "%.1f}, \"skip\": {\"wall_sec\": %.6f, \"cycles_per_sec\": "
-            "%.1f, \"ticked_edges\": %llu, \"skipped_edges\": %llu, "
-            "\"fused_spans\": %llu, \"fused_cycles\": %llu, "
+            "%.1f, \"ticked_edges\": %llu, "
             "\"sm_slept\": %llu, \"l2_slept\": %llu, "
             "\"dram_slept\": %llu}, \"speedup\": %.3f}%s\n",
             jsonEscape(pc.label).c_str(),
@@ -874,9 +856,6 @@ runPerf(const std::string &out_path, std::ostream &out, std::ostream &err)
             pc.lockstepSec, rate(pc.lockstepSec), pc.skipSec,
             rate(pc.skipSec),
             static_cast<unsigned long long>(pc.tickedEdges),
-            static_cast<unsigned long long>(pc.skippedEdges),
-            static_cast<unsigned long long>(pc.fusedSpans),
-            static_cast<unsigned long long>(pc.fusedCycles),
             static_cast<unsigned long long>(pc.sleptCoreCycles),
             static_cast<unsigned long long>(pc.sleptL2Ticks),
             static_cast<unsigned long long>(pc.sleptDramTicks),
@@ -1290,7 +1269,8 @@ cliMain(int argc, const char *const *argv, std::ostream &out,
         } else if (a.rfind("--format=", 0) == 0) {
             if (!exp::parseTableFormat(valueOf("--format="),
                                        opts.format)) {
-                err << "bwsim: --format expects text, csv or tsv, got '"
+                err << "bwsim: --format expects text, csv, tsv or "
+                       "json, got '"
                     << valueOf("--format=") << "'\n";
                 return 1;
             }

@@ -139,7 +139,7 @@ class DramChannel
     /**@{*/
     bool returnReady() const { return !returnQ.empty(); }
     MemFetch *returnFront() { return returnQ.front(); }
-    /** Head of the return queue without popping (horizon probes). */
+    /** Head of the return queue without popping (fill-wake probes). */
     const MemFetch *returnPeek() const { return returnQ.front(); }
     MemFetch *returnPop();
     /**@}*/
@@ -148,37 +148,33 @@ class DramChannel
     std::size_t schedQueueCapacity() const { return cfg.schedQueueEntries; }
 
     /**
-     * Quiescence horizon (cycle-skip scheduler). With an empty
-     * scheduler queue, the earliest write-drain or read-return
-     * retirement bounds the dead span (landed returns wait on the L2
-     * fill path, not on channel ticks). With requests queued, the
-     * bus-sleep scan computes the earliest cycle any FR-FCFS command
-     * can legally issue from the frozen bank/bus/channel gates: until
-     * then every tick only charges one pendingCycles, which
-     * skipCycles() integrates in bulk. Gates are absolute cycle
-     * stamps mutated only by issued commands; pushes arrive on
-     * interconnect ticks (which invalidate this horizon via the
-     * affects map), and in-channel read landings keep
-     * returnQ.size()+returnsInFlight constant, so a return-blocked
-     * read stays blocked for the whole span.
+     * Quiescence horizon (per-channel sleep). With an empty scheduler
+     * queue, the earliest write-drain or read-return retirement
+     * bounds the dead span (landed returns wait on the L2 fill path,
+     * not on channel ticks). With requests queued, the bus-sleep scan
+     * computes the earliest cycle any FR-FCFS command can legally
+     * issue from the frozen bank/bus/channel gates: until then every
+     * tick only charges one pendingCycles, which skipCycles() charges
+     * in bulk. Gates are absolute cycle stamps mutated only by issued
+     * commands; pushes and return pops come from the L2 side, which
+     * wakes a sleeping channel first, and in-channel read landings
+     * keep returnQ.size()+returnsInFlight constant, so a
+     * return-blocked read stays blocked for the whole span.
      */
     std::uint64_t horizon() const;
 
     /**
-     * Integrate @p n skipped command cycles. On a bus-sleep span the
-     * queue occupancy is frozen nonzero and each tick charges exactly
-     * one pendingCycles, applied here in bulk. Returns true iff such
-     * fused charges were applied (false on a dead, empty-queue span).
+     * Charge @p n slept command cycles. The queue occupancy is frozen
+     * across them, so each would have charged one pendingCycles iff a
+     * request is queued.
      */
-    bool
+    void
     skipCycles(std::uint64_t n)
     {
         cycle += n;
         ctr.cycles += n;
-        if (queuedCount == 0)
-            return false;
-        ctr.pendingCycles += n;
-        return true;
+        if (queuedCount != 0)
+            ctr.pendingCycles += n;
     }
 
     /** Sample scheduler-queue occupancy (the paper's Fig. 5 metric)

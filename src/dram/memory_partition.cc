@@ -218,7 +218,7 @@ MemoryPartition::tickBank(std::uint32_t b, double now_ps)
 }
 
 std::uint64_t
-MemoryPartition::bankHorizon(std::uint32_t b, std::uint8_t *wakes) const
+MemoryPartition::bankHorizon(std::uint32_t b, std::uint8_t &wakes) const
 {
     const CacheModel &bank = *banks[b];
     const std::uint32_t gid = globalBankId(b);
@@ -235,8 +235,8 @@ MemoryPartition::bankHorizon(std::uint32_t b, std::uint8_t *wakes) const
             port |= WakeOnReplyPort;
     }
     // 3. A ready access-queue head with a valid stall memo replays
-    // exactly one countStall per tick: integrable, charged in bulk.
-    // An unmemoized attempt is observable.
+    // exactly one countStall per tick, charged in bulk on wake. An
+    // unmemoized attempt is observable.
     if (!accessQ[b].empty()) {
         if (accessQ[b].ready(l2Cycle + 1)) {
             if (accessMemoVer[b] != bank.version())
@@ -260,66 +260,8 @@ MemoryPartition::bankHorizon(std::uint32_t b, std::uint8_t *wakes) const
             return 0;
         port |= WakeOnRequest;
     }
-    if (wakes)
-        *wakes = port;
+    wakes = port;
     return h;
-}
-
-std::uint64_t
-MemoryPartition::l2Horizon() const
-{
-    std::uint64_t h = kInfiniteHorizon;
-    for (std::uint32_t b = 0; b < cfg.banksPerPartition; ++b) {
-        h = std::min(h, bankHorizon(b));
-        if (h == 0)
-            return 0;
-    }
-    // 2. Fill retries: an unmemoized attempt is observable; a
-    // memoized refusal is a frozen no-op until the bank mutates
-    // (which happens only on ticks that pin or invalidate above).
-    if (cfg.idealDram) {
-        if (!idealPipe.empty()) {
-            for (std::uint32_t b = 0; b < cfg.banksPerPartition; ++b)
-                if (fillMemoVer[b] != banks[b]->version()) {
-                    h = std::min(h, l2Until(idealPipe.frontReady()));
-                    break;
-                }
-        }
-    } else if (channel->returnReady()) {
-        const MemFetch *mf = channel->returnPeek();
-        for (std::uint32_t b = 0; b < cfg.banksPerPartition; ++b) {
-            if (static_cast<std::uint32_t>(mf->l2BankId) ==
-                    globalBankId(b) &&
-                fillMemoVer[b] != banks[b]->version()) {
-                return 0;
-            }
-        }
-    }
-    return h;
-}
-
-bool
-MemoryPartition::skipL2(std::uint64_t n)
-{
-    bool fused = false;
-    for (std::uint32_t b = 0; b < cfg.banksPerPartition; ++b) {
-        // A memoized stall on a ready head replays one countStall per
-        // tick across the whole span: charge it in one shot. A
-        // sleeping bank's stamp covers the span; it is charged when it
-        // wakes.
-        const bool stalled = accessQ[b].ready(l2Cycle + 1) &&
-                             accessMemoVer[b] == banks[b]->version();
-        fused |= stalled;
-        if (asleep & bankBit(b))
-            continue;
-        if (stalled) {
-            banks[b]->countStalls(
-                static_cast<CacheStallCause>(accessMemoCause[b]), n);
-        }
-        accessQHist.sample(accessQ[b].size(), accessQ[b].capacity(), n);
-    }
-    l2Cycle += n;
-    return fused;
 }
 
 std::uint64_t
@@ -374,7 +316,7 @@ MemoryPartition::maybeSleepBank(std::uint32_t b)
     // sample the frozen access-queue occupancy until a time in the
     // horizon comes due or a port wake names the bank.
     std::uint8_t wakes = 0;
-    const std::uint64_t h = bankHorizon(b, &wakes);
+    const std::uint64_t h = bankHorizon(b, wakes);
     if (h == 0)
         return;
     BankSleep &s = bankSleep[b];
@@ -394,9 +336,10 @@ MemoryPartition::maybeSleepBank(std::uint32_t b)
 void
 MemoryPartition::wakeBank(std::uint32_t b, Cycle through)
 {
-    // The charges skipL2() applies to an awake bank: state is frozen,
-    // so a head ready on the first owed cycle with a valid memo
-    // stalled on every one of them.
+    // The bank's state is frozen while it sleeps, so a head ready on
+    // the first owed cycle with a valid memo stalled on every one of
+    // them, and the access-queue occupancy sampled the same each
+    // cycle.
     const Cycle from = bankSleep[b].sleptFrom;
     const std::uint64_t owed = through - from;
     if (accessQ[b].ready(from + 1) &&
@@ -433,38 +376,6 @@ MemoryPartition::setSleepEnabled(bool on)
     nextTimedWake = kInfiniteHorizon;
     if (chanAsleep)
         wakeChannel(dramCycle);
-}
-
-std::uint64_t
-MemoryPartition::dramHorizon() const
-{
-    // The ideal pipe lives on the L2 clock; DRAM ticks are pure
-    // counter increments there. The real channel computes its own
-    // bus-sleep horizon from the frozen bank/bus gates; the occupancy
-    // sample is frozen with it and integrated by skipDram(). A
-    // sleeping channel's state is frozen at its last tick, so that
-    // horizon has simply counted down since.
-    if (cfg.idealDram)
-        return kInfiniteHorizon;
-    if (chanAsleep) {
-        return chanWakeAt == kInfiniteHorizon ? kInfiniteHorizon
-                                              : chanWakeAt - dramCycle;
-    }
-    return channel->horizon();
-}
-
-bool
-MemoryPartition::skipDram(std::uint64_t n)
-{
-    dramCycle += n;
-    if (cfg.idealDram)
-        return false;
-    // A sleeping channel's stamp covers the span.
-    if (chanAsleep)
-        return channel->schedQueueSize() > 0;
-    bool fused = channel->skipCycles(n);
-    channel->sampleOccupancy(dramQHist, n);
-    return fused;
 }
 
 void

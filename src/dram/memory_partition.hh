@@ -116,46 +116,6 @@ class MemoryPartition
     /** One DRAM command-clock cycle. */
     void tickDram(double now_ps);
 
-    /** @name Quiescence horizons (cycle-skip scheduler) */
-    /**@{*/
-    /**
-     * Earliest upcoming L2 cycle whose tick could do more than replay
-     * frozen state: 0 whenever a real attempt is possible (an
-     * unmemoized access or fill, a miss draining into a non-full DRAM
-     * queue, a request-network pull into a non-full access queue, a
-     * response injecting into a non-full reply port), else the
-     * earliest ready time among the response queues, access queues
-     * and the ideal-DRAM pipe. A ready access-queue head with a valid
-     * stall memo does NOT pin the horizon: its tick charges exactly
-     * one countStall, which skipL2() integrates in bulk. Blocked-on-
-     * full paths are frozen no-ops: the ports they wait on only free
-     * on ticks that invalidate this horizon. The per-bank part is
-     * bankHorizon(), the rule a bank's sleep decision uses too; the
-     * shared fill path is folded in here.
-     */
-    std::uint64_t l2Horizon() const;
-    /**
-     * Integrate @p n skipped L2 cycles: bulk-replay any memoized
-     * access-queue stalls, advance the cycle counter and charge the
-     * per-cycle access-queue occupancy samples (occupancy is frozen
-     * across the span). A sleeping bank's stamp covers the span, so
-     * it is charged when it wakes. Returns true iff some bank's span
-     * is a memoized stall.
-     */
-    bool skipL2(std::uint64_t n);
-    /** Channel horizon; infinite under the ideal-DRAM pipe, and what
-     *  is left of the folded horizon while the channel sleeps. */
-    std::uint64_t dramHorizon() const;
-    /**
-     * Integrate @p n skipped DRAM command cycles: the channel's bulk
-     * pending-cycle charge plus the per-cycle scheduler-queue
-     * occupancy samples (left to the stamp while it sleeps). Returns
-     * true iff the span was a fused bus-sleep (queued requests, no
-     * command legal).
-     */
-    bool skipDram(std::uint64_t n);
-    /**@}*/
-
     /**
      * Switch per-bank / per-channel sleep on or off. Switching it off
      * charges every owed cycle, so counters read afterwards match a
@@ -211,13 +171,23 @@ class MemoryPartition
         WakeOnDramSpace = 4, ///< the DRAM scheduler queue frees a slot
     };
     /**
-     * Local bank @p b's own quiescence horizon: l2Horizon()'s rules
-     * for everything but the shared fill path. When positive,
-     * @p wakes (if given) receives the PortWake bits that can end it
-     * early.
+     * Local bank @p b's own quiescence horizon: L2 cycles from the
+     * next tick until one could do more than replay frozen state. 0
+     * whenever a real attempt is possible (an unmemoized access, a
+     * miss draining into a non-full DRAM queue, a request-network
+     * pull into a non-full access queue, a response injecting into a
+     * non-full reply port), else the earliest ready time among its
+     * response and access queues. A ready access-queue head with a
+     * valid stall memo does NOT pin the horizon: its tick charges
+     * exactly one countStall, which wakeBank() charges in bulk.
+     * Blocked-on-full paths are frozen no-ops until another tick
+     * frees the port they wait on; when the horizon is positive,
+     * @p wakes receives the PortWake bits naming those ports. The
+     * shared fill path is fillWake()'s business: a memoized fill
+     * refusal is a frozen no-op until the bank mutates, which only
+     * its own tick does.
      */
-    std::uint64_t bankHorizon(std::uint32_t b,
-                              std::uint8_t *wakes = nullptr) const;
+    std::uint64_t bankHorizon(std::uint32_t b, std::uint8_t &wakes) const;
     /** L2 cycles from the next tick until @p ready (0 if due). */
     std::uint64_t
     l2Until(Cycle ready) const

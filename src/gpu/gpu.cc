@@ -38,53 +38,20 @@ Gpu::Gpu(const GpuConfig &config, const WorkloadSpec &workload)
     // Intra-instant ordering: drains first (DRAM), then the crossbar
     // and L2, then the cores that feed them. A hierarchy with nothing
     // on the memory-side clocks (the ideal ones) runs on the core
-    // clock alone: no empty edges to tick or skip.
-    const bool mem_clocks = memSys->hasMemoryClocks();
-    std::size_t dram_domain = 0, icnt_domain = 0;
-    if (mem_clocks) {
-        dram_domain = clocks.addDomain("dram", cfg.dramClockMhz,
-                                       profiledTick(0, [this] {
-                                           memSys->dramTick(clocks.nowPs());
-                                       }));
-        icnt_domain = clocks.addDomain("icnt", cfg.icntClockMhz,
-                                       profiledTick(1, [this] {
-                                           memSys->icntTick(clocks.nowPs());
-                                       }));
+    // clock alone: no empty edges to tick.
+    if (memSys->hasMemoryClocks()) {
+        clocks.addDomain("dram", cfg.dramClockMhz,
+                         profiledTick(0, [this] {
+                             memSys->dramTick(clocks.nowPs());
+                         }));
+        clocks.addDomain("icnt", cfg.icntClockMhz,
+                         profiledTick(1, [this] {
+                             memSys->icntTick(clocks.nowPs());
+                         }));
     }
-    coreDomain = clocks.addDomain("core", cfg.coreClockMhz,
-                                  profiledTick(2, [this] { coreTick(); }));
+    clocks.addDomain("core", cfg.coreClockMhz,
+                     profiledTick(2, [this] { coreTick(); }));
     registerTickProfileStats();
-
-    clocks.domain(coreDomain)
-        .setSkipHooks([this] { return coreQuiesceHorizon(); },
-                      [this](std::uint64_t n) { coreSkip(n); });
-    if (!mem_clocks)
-        return;
-    clocks.domain(dram_domain)
-        .setSkipHooks([this] { return memSys->dramHorizon(); },
-                      [this](std::uint64_t n) {
-                          if (memSys->dramSkip(n))
-                              recordFusedSpan(n);
-                      });
-    clocks.domain(icnt_domain)
-        .setSkipHooks([this] { return memSys->icntHorizon(); },
-                      [this](std::uint64_t n) {
-                          if (memSys->icntSkip(n))
-                              recordFusedSpan(n);
-                      });
-
-    // Which horizons an executed tick can change, following the data
-    // flow between domains: a core tick touches the networks' injection
-    // side; an icnt tick can ready a core reply, fill its own queues
-    // and push to the DRAM scheduler; a DRAM tick can land a return
-    // for the L2 fill path. Notably a DRAM tick cannot wake a core
-    // (fills travel via the L2/reply network first) and a core tick
-    // cannot wake DRAM directly, which is what lets the core domain
-    // keep skipping across a long DRAM-busy span.
-    clocks.setAffects(coreDomain, {coreDomain, icnt_domain});
-    clocks.setAffects(icnt_domain,
-                      {coreDomain, icnt_domain, dram_domain});
-    clocks.setAffects(dram_domain, {icnt_domain, dram_domain});
 }
 
 Gpu::~Gpu() = default;
@@ -128,8 +95,7 @@ Gpu::registerTickProfileStats()
     for (std::size_t s = 0; s < numProfSlots; ++s) {
         stats::Group &g = tg.createChild(kProfSlotNames[s]);
         DomainTickProf &p = tickProf[s];
-        g.bindScalar("ticks", "domain ticks executed (not skipped)",
-                     p.ticks);
+        g.bindScalar("ticks", "domain ticks executed", p.ticks);
         g.bindScalar("wall_nanos", "wall nanoseconds spent ticking",
                      p.nanos);
         g.formula("avg_ns_per_tick", "mean wall cost of one tick",
@@ -250,28 +216,6 @@ Gpu::flushSleep()
         chargeSleep(__builtin_ctzll(m), coreCycleCount);
 }
 
-std::uint64_t
-Gpu::coreQuiesceHorizon()
-{
-    // The per-SM sleep state is the answer. An SM left awake after its
-    // visit had a zero horizon (its own or coreHorizon()), so the
-    // domain is integrable only while every SM sleeps and no port can
-    // wake one -- and then up to the earliest timed wake.
-    if (asleepMask != allCores || memSys->coreWakeMask(outgoingMask) != 0)
-        return 0;
-    return nextTimedWake == kInfiniteHorizon
-               ? kInfiniteHorizon
-               : nextTimedWake - coreCycleCount;
-}
-
-void
-Gpu::coreSkip(std::uint64_t n)
-{
-    // Every SM sleeps through the span: each is charged from its own
-    // stamp when it wakes, or at the end of run().
-    coreCycleCount += n;
-}
-
 bool
 Gpu::allWorkDone() const
 {
@@ -299,7 +243,6 @@ Gpu::run()
     const bool skip = schedulerMode() == SchedulerMode::Skip;
     const std::uint64_t cycles0 = coreCycleCount;
     const std::uint64_t ticked0 = clocks.tickedEdges();
-    const std::uint64_t skipped0 = clocks.skippedEdges();
     const auto prof0 = tickProf;
     const auto wall0 = std::chrono::steady_clock::now();
     sleepEnabled = skip;
@@ -318,14 +261,8 @@ Gpu::run()
         }
         // Step in bursts to keep the done-check off the critical path,
         // clamped so the safety cap is never overshot.
-        std::uint64_t target =
-            std::min(coreCycleCount + 64, cfg.maxCoreCycles);
-        if (skip) {
-            clocks.runUntil(coreDomain, target);
-        } else {
-            while (coreCycleCount < target)
-                clocks.step();
-        }
+        runCycles(std::min<std::uint64_t>(
+            64, cfg.maxCoreCycles - coreCycleCount));
     }
     flushSleep();
     asleepMask = 0;
@@ -338,8 +275,7 @@ Gpu::run()
             std::chrono::steady_clock::now() - wall0)
             .count();
     recordSimSpeed(coreCycleCount - cycles0,
-                   clocks.tickedEdges() - ticked0,
-                   clocks.skippedEdges() - skipped0, sleptCycles,
+                   clocks.tickedEdges() - ticked0, sleptCycles,
                    mem1.l2Banks - mem0.l2Banks,
                    mem1.dramChannels - mem0.dramChannels,
                    static_cast<std::uint64_t>(wall_ns));

@@ -54,7 +54,8 @@ class Gpu : public WorkSource
     /** Run to completion (or the safety cycle cap) and harvest stats. */
     SimResult run();
 
-    /** Advance a bounded number of core cycles (tests/debugging). */
+    /** Advance @p core_cycles core cycles (run() steps in bursts of
+     *  these; tests and debugging call it directly). */
     void runCycles(std::uint64_t core_cycles);
 
     /** @name WorkSource (CTA distribution to cores) */
@@ -89,19 +90,12 @@ class Gpu : public WorkSource
 
   private:
     void coreTick();
-    /** Core-domain quiescence horizon, read off the per-SM sleep
-     *  state: edges until the earliest timed wake while every SM
-     *  sleeps and no port wake is pending, else 0. */
-    std::uint64_t coreQuiesceHorizon();
-    /** Advance the core cycle over a skipped span (every SM asleep). */
-    void coreSkip(std::uint64_t n);
 
     /**
      * @name Per-SM sleep (skip scheduler, inside run() only)
      *
-     * The core domain as a whole rarely quiesces -- one busy SM pins
-     * it -- but most individual SMs spend most cycles provably idle.
-     * After its visit, an SM whose own quiesceHorizon() and the
+     * Most SMs spend most cycles provably idle, even while others are
+     * busy. After its visit, an SM whose own quiesceHorizon() and the
      * MemSystem's coreHorizon() are both positive falls asleep until
      * the earlier of the two expires. coreTick() then visits only the
      * awake SMs plus those MemSystem::coreWakeMask() names, in
@@ -117,17 +111,10 @@ class Gpu : public WorkSource
      * crossbar's eject-ready / inject-full bitmasks behind
      * coreWakeMask().
      *
-     * The sleep state also decides the core domain's skip: every SM
-     * left awake had a zero horizon at its visit, so the domain can
-     * skip only while asleepMask covers every SM and coreWakeMask()
-     * is empty, up to nextTimedWake. A skipped span only advances the
-     * cycle count; the sleeping SMs' stamps cover it.
-     *
      * Invariant: slept cycles are charged before anything reads core
      * counters or horizons -- the wake-up visit and the end of run()
      * (so harvest() and dumpStats() see lockstep-identical state).
-     * runCycles() and lockstep run the same loop with nothing ever
-     * asleep.
+     * Under lockstep, and outside run(), no SM ever sleeps.
      */
     /**@{*/
     struct CoreSleep
@@ -189,7 +176,6 @@ class Gpu : public WorkSource
     MemFetchAllocator alloc;
 
     MultiClock clocks;
-    std::size_t coreDomain = 0;
     std::uint64_t coreCycleCount = 0;
 
     /** Root of the stats tree; components register into it below. */

@@ -25,14 +25,12 @@
 #ifndef BWSIM_ICNT_CROSSBAR_HH
 #define BWSIM_ICNT_CROSSBAR_HH
 
-#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
 
 #include "common/types.hh"
 #include "mem/mem_fetch.hh"
-#include "sim/clock.hh"
 #include "sim/queue.hh"
 #include "stats/occupancy_hist.hh"
 #include "stats/stat.hh"
@@ -120,36 +118,6 @@ class CrossbarNetwork
     /** Network cycles ticked (bytes/cycle denominators). */
     std::uint64_t cyclesTicked() const { return cycle; }
 
-    /**
-     * Quiescence horizon (cycle-skip scheduler): 0 while any packet is
-     * mid-transfer (a grant moves one flit per tick) or any wanted
-     * destination could win arbitration. When every wanted destination
-     * is eject-blocked the span is integrable -- each tick only
-     * charges one ejectBlockedCycles per blocked port, which
-     * skipCycles() reproduces in bulk -- so the horizon falls through
-     * to the earliest transit-pipe delivery (landings are observable:
-     * packetsEjected); ejected packets wait on their owner, not on
-     * network ticks.
-     */
-    std::uint64_t horizon() const;
-    /**
-     * Integrate @p n skipped network cycles. On a fused span (every
-     * wanted destination eject-blocked, per horizon()) each blocked
-     * port charges one ejectBlockedCycles per cycle, applied here in
-     * bulk. Returns true iff such fused charges were applied.
-     */
-    bool
-    skipCycles(std::uint64_t n)
-    {
-        cycle += n;
-        if (wantedDests == 0)
-            return false;
-        ctr.ejectBlockedCycles += static_cast<std::uint64_t>(
-                                      __builtin_popcountll(wantedDests)) *
-                                  n;
-        return true;
-    }
-
     std::size_t injQueueSize(std::uint32_t src) const;
 
     /** Sample all injection-queue occupancies into @p hist. */
@@ -229,23 +197,6 @@ class Interconnect
     {
         reqNet.tick();
         replyNet.tick();
-    }
-
-    /** Combined quiescence horizon of both directions. */
-    std::uint64_t
-    horizon() const
-    {
-        return std::min(reqNet.horizon(), replyNet.horizon());
-    }
-
-    /** Integrate @p n skipped cycles into both directions.
-     *  @return true iff either direction applied fused charges. */
-    bool
-    skipCycles(std::uint64_t n)
-    {
-        bool req_fused = reqNet.skipCycles(n);
-        bool reply_fused = replyNet.skipCycles(n);
-        return req_fused || reply_fused;
     }
 
     std::size_t

@@ -201,50 +201,6 @@ NormalMemSystem::coreWakeMask(std::uint64_t outgoing) const
            (outgoing & ~icnt->request().injectFullMask());
 }
 
-std::uint64_t
-NormalMemSystem::icntHorizon() const
-{
-    std::uint64_t h = icnt->horizon();
-    for (const auto &p : parts) {
-        if (h == 0)
-            return 0;
-        h = std::min(h, p->l2Horizon());
-    }
-    return h;
-}
-
-bool
-NormalMemSystem::icntSkip(std::uint64_t n)
-{
-    icntCycles += n;
-    bool fused = icnt->skipCycles(n);
-    for (auto &p : parts)
-        fused |= p->skipL2(n);
-    return fused;
-}
-
-std::uint64_t
-NormalMemSystem::dramHorizon() const
-{
-    std::uint64_t h = kInfiniteHorizon;
-    for (const auto &p : parts) {
-        h = std::min(h, p->dramHorizon());
-        if (h == 0)
-            return 0;
-    }
-    return h;
-}
-
-bool
-NormalMemSystem::dramSkip(std::uint64_t n)
-{
-    dramCycles += n;
-    bool fused = false;
-    for (auto &p : parts)
-        fused |= p->skipDram(n);
-    return fused;
-}
-
 void
 NormalMemSystem::setSleepEnabled(bool on)
 {

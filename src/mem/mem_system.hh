@@ -82,18 +82,12 @@ class MemSystem
     virtual bool drained() const = 0;
 
     /**
-     * @name Quiescence horizons (cycle-skip scheduler)
+     * @name Core-side horizons (per-SM sleep)
      *
-     * How many upcoming ticks of each clock domain are provably
-     * integrable given current state: either observable no-ops, or
-     * fused spans whose only per-cycle effects are identical counter
-     * charges the matching skip callback reproduces in bulk. The
-     * defaults are maximally conservative (never skip), so an
-     * implementation that does not opt in stays correct under the
-     * skip scheduler. Skip callbacks integrate a span into per-cycle
-     * counters; they are only invoked on spans the matching horizon
-     * declared integrable, and return true iff they applied fused
-     * (non-trivial) charges.
+     * What the Gpu needs to put an SM to sleep on its own horizon and
+     * to wake it exactly. The defaults are maximally conservative
+     * (never sleep on this system's account), so an implementation
+     * that does not opt in stays correct under the skip scheduler.
      */
     /**@{*/
     /**
@@ -114,7 +108,7 @@ class MemSystem
      * (bit set in @p outgoing, one bit per core) that the request port
      * can take. A pending miss facing a full port is a pure no-op
      * attempt, frozen until an icnt tick frees the port, so that core
-     * may keep skipping. The conservative default wakes every core
+     * may keep sleeping. The conservative default wakes every core
      * with a pending miss.
      *
      * Per-SM sleep relies on this split: a sleeping core's pending
@@ -130,10 +124,6 @@ class MemSystem
     {
         return outgoing;
     }
-    virtual std::uint64_t icntHorizon() const { return 0; }
-    virtual std::uint64_t dramHorizon() const { return 0; }
-    virtual bool icntSkip(std::uint64_t n) { (void)n; return false; }
-    virtual bool dramSkip(std::uint64_t n) { (void)n; return false; }
     /**@}*/
 
     /**
@@ -149,8 +139,7 @@ class MemSystem
      * regaining space (for a blocked miss queue), or the return head
      * naming it with an invalid fill memo. A sleeping channel is
      * woken by time or just before the L2 side pushes to it or pops
-     * its return queue. The horizons and skip hooks above stay exact
-     * while anything sleeps. Switching sleep off charges every owed
+     * its return queue. Switching sleep off charges every owed
      * cycle, so it must precede harvest() and any stats read. The
      * default (the ideal hierarchies, which have no banks or
      * channels) is a no-op.
@@ -203,10 +192,6 @@ class NormalMemSystem : public MemSystem
         return kInfiniteHorizon;
     }
     std::uint64_t coreWakeMask(std::uint64_t outgoing) const override;
-    std::uint64_t icntHorizon() const override;
-    std::uint64_t dramHorizon() const override;
-    bool icntSkip(std::uint64_t n) override;
-    bool dramSkip(std::uint64_t n) override;
     void setSleepEnabled(bool on) override;
     SleptTicks sleptTicks() const override;
 

@@ -10,8 +10,8 @@ namespace bwsim
 
 ClockDomain::ClockDomain(std::string name, double freq_mhz,
                          std::function<void()> tick_fn)
-    : domainName(std::move(name)), freq(freq_mhz),
-      period(1e6 / freq_mhz), fn(std::move(tick_fn))
+    : domainName(std::move(name)), period(1e6 / freq_mhz),
+      fn(std::move(tick_fn))
 {
     bwsim_assert(freq_mhz > 0.0, "domain '%s' needs a positive frequency",
                  domainName.c_str());
@@ -23,67 +23,6 @@ ClockDomain::tick()
     fn();
     ++cycles;
     next += period;
-    // The callback changed this domain's own state; cross-domain
-    // effects are the MultiClock's affects-map's business.
-    horizonValid = false;
-}
-
-void
-ClockDomain::setSkipHooks(HorizonFn horizon_fn, SkipFn skip_fn)
-{
-    bwsim_assert(horizon_fn && skip_fn,
-                 "domain '%s' needs both skip hooks", domainName.c_str());
-    horizonFn = std::move(horizon_fn);
-    skipFn = std::move(skip_fn);
-}
-
-std::uint64_t
-ClockDomain::horizon()
-{
-    if (!horizonValid) {
-        // Horizons are only recomputed with no skips pending: every
-        // executed instant flushes all domains before invalidating, so
-        // the component counters the hook reads are never stale.
-        bwsim_assert(pendingSkips == 0,
-                     "domain '%s': horizon recompute with %llu unreported "
-                     "skips",
-                     domainName.c_str(),
-                     static_cast<unsigned long long>(pendingSkips));
-        cachedHorizon = horizonFn();
-        horizonValid = true;
-    }
-    return cachedHorizon;
-}
-
-void
-ClockDomain::skipEdge()
-{
-    ++cycles;
-    next += period;
-    ++pendingSkips;
-    bwsim_assert(horizonValid && cachedHorizon > 0,
-                 "domain '%s': skip past the horizon", domainName.c_str());
-    if (cachedHorizon != kInfiniteHorizon)
-        --cachedHorizon;
-}
-
-void
-ClockDomain::flushSkips()
-{
-    if (pendingSkips == 0)
-        return;
-    std::uint64_t n = pendingSkips;
-    pendingSkips = 0;
-    skipFn(n);
-}
-
-void
-ClockDomain::setFreqMhz(double freq_mhz)
-{
-    bwsim_assert(freq_mhz > 0.0, "domain '%s' needs a positive frequency",
-                 domainName.c_str());
-    freq = freq_mhz;
-    period = 1e6 / freq_mhz;
 }
 
 std::size_t
@@ -115,172 +54,6 @@ MultiClock::step()
             d.tick();
             ++ticked;
         }
-    }
-}
-
-void
-MultiClock::setAffects(std::size_t src, std::vector<std::size_t> dsts)
-{
-    if (affects.size() <= src)
-        affects.resize(domains.size());
-    affects.at(src) = std::move(dsts);
-    affectsMasks.assign(domains.size(), 0);
-    for (std::size_t s = 0; s < domains.size(); ++s) {
-        if (s < affects.size() && !affects[s].empty()) {
-            for (std::size_t dst : affects[s])
-                affectsMasks[s] |= std::uint32_t(1) << dst;
-        } else {
-            // Unset: conservatively invalidate everyone.
-            affectsMasks[s] = (std::uint32_t(1) << domains.size()) - 1;
-        }
-    }
-}
-
-void
-MultiClock::runUntil(std::size_t driver_idx, Cycle target)
-{
-    bwsim_assert(!domains.empty(), "MultiClock has no domains");
-    bwsim_assert(domains.size() <= 16,
-                 "runUntil supports at most 16 domains");
-    ClockDomain &driver = domains.at(driver_idx);
-    const double epsilon = 1e-6;
-    // Few domains: scan them directly, no event queue needed.
-    std::size_t due[16];
-
-    while (driver.cycle() < target) {
-        double earliest = std::numeric_limits<double>::max();
-        for (const auto &d : domains)
-            earliest = std::min(earliest, d.nextEdge());
-
-        std::size_t n_due = 0;
-        for (std::size_t i = 0; i < domains.size(); ++i) {
-            if (domains[i].nextEdge() <= earliest + epsilon)
-                due[n_due++] = i;
-        }
-
-        // Adaptive attempt pacing: any provably-integrable edge may be
-        // skipped or executed without changing observable state, so
-        // the scheduler is free to not even ask. After a failed
-        // attempt (some due domain pinned the instant) the next
-        // `holdoff` instants execute without querying any horizon,
-        // and the holdoff doubles on each consecutive failure; a
-        // successful skip resets it. During actively-arbitrating
-        // phases -- where nearly every instant executes -- this
-        // collapses the horizon-recompute overhead to a vanishing
-        // fraction of lockstep work, while long quiescent spans still
-        // skip wholesale (each span costs at most one stale attempt).
-        bool attempt = skipHoldoff == 0;
-        bool skip_ok = attempt;
-        // A fresh attempt (state executed since the last one) pays the
-        // full horizon sweep and, on success, a span-integration flush
-        // -- worth it only if the span it opens is long enough.
-        // Continuations of an in-flight span (all horizons cached,
-        // merely decremented) are nearly free and proceed regardless.
-        bool fresh = invalidMask != 0;
-
-        // Horizon invalidations from executed instants are banked in
-        // invalidMask and only applied when an attempt actually needs
-        // fresh horizons, so instants that execute while the holdoff
-        // is active cost no more than a lockstep step().
-        if (attempt && invalidMask != 0) {
-            std::uint32_t m = invalidMask &
-                              ((std::uint32_t(1) << domains.size()) - 1);
-            invalidMask = 0;
-            while (m != 0) {
-                std::uint32_t i =
-                    static_cast<std::uint32_t>(__builtin_ctz(m));
-                m &= m - 1;
-                domains[i].invalidateHorizon();
-            }
-        }
-
-        // Feasibility check, cheapest-veto-first: the domain that
-        // vetoed the previous attempt leads (pins persist, and a
-        // pinned horizon is usually an O(1) early-out in the hook),
-        // then domains whose cached horizon is still valid (free),
-        // then the ones needing a recompute -- so an expensive
-        // horizon scan (the DRAM bus-sleep walk, the per-partition L2
-        // probes) is never paid when a cheaper domain already forces
-        // this instant to execute.
-        for (int pass = 0; pass < 3 && skip_ok; ++pass) {
-            for (std::size_t k = 0; k < n_due; ++k) {
-                bool is_last_veto = due[k] == lastVeto;
-                if ((pass == 0) != is_last_veto)
-                    continue;
-                ClockDomain &d = domains[due[k]];
-                if (!d.skippable()) {
-                    skip_ok = false;
-                    lastVeto = due[k];
-                    break;
-                }
-                if (pass == 1 && !d.horizonCached())
-                    continue;
-                std::uint64_t h = d.horizon();
-                if (due[k] == driver_idx) {
-                    // The target-reaching edge always executes so that
-                    // nowPs() lands on the same instant as lockstep.
-                    h = std::min<std::uint64_t>(h,
-                                                target - 1 - d.cycle());
-                }
-                if (h == 0 || (fresh && h < kMinSkipSpan)) {
-                    skip_ok = false;
-                    lastVeto = due[k];
-                    break;
-                }
-            }
-        }
-
-        if (skip_ok) {
-            for (std::size_t k = 0; k < n_due; ++k)
-                domains[due[k]].skipEdge();
-            skipped += n_due;
-            ++skipStreak;
-            skipsPending = true;
-            continue;
-        }
-        if (attempt) {
-            // A veto ending a skipped span is the natural end of a
-            // quiescent stretch, not evidence of a pinned phase: relax
-            // the holdoff (fully after a long span, halved after a
-            // short one). Only barren vetoes -- attempts that skipped
-            // nothing since the last one -- grow it.
-            if (skipStreak >= kGoodStreak)
-                skipBackoff = 1;
-            else if (skipStreak > 0)
-                skipBackoff = std::max<std::uint32_t>(1, skipBackoff / 2);
-            else
-                skipBackoff = std::min<std::uint32_t>(
-                    skipBackoff ? skipBackoff * 2 : 1, kMaxSkipBackoff);
-            skipHoldoff = skipBackoff;
-            skipStreak = 0;
-        } else {
-            --skipHoldoff;
-        }
-
-        // Executed instant: report all accumulated skips first so every
-        // horizon recompute (and the callbacks themselves) see current
-        // component counters, then tick in registration order. The
-        // horizon invalidations are banked into invalidMask and applied
-        // at the next attempt.
-        if (skipsPending) {
-            for (auto &d : domains)
-                d.flushSkips();
-            skipsPending = false;
-        }
-        now = earliest;
-        for (std::size_t k = 0; k < n_due; ++k) {
-            domains[due[k]].tick();
-            invalidMask |= due[k] < affectsMasks.size()
-                               ? affectsMasks[due[k]]
-                               : ~std::uint32_t(0);
-        }
-        ticked += n_due;
-    }
-
-    if (skipsPending) {
-        for (auto &d : domains)
-            d.flushSkips();
-        skipsPending = false;
     }
 }
 

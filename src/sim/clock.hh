@@ -10,24 +10,9 @@
  * registers drains before producers (DRAM, then L2/crossbar, then
  * cores) so requests never teleport through two levels in one instant.
  *
- * Cycle-skip scheduling: a domain may additionally install a horizon
- * hook reporting how many of its upcoming edges are provably
- * integrable ("quiescence horizon") -- either observable no-ops, or
- * fused spans whose only per-cycle effects are identical counter
- * increments (memoized stall replays, eject-blocked charges, DRAM
- * pending cycles, frozen occupancy samples) -- plus a skip hook that
- * integrates a span of skipped edges into those counters in one shot.
- * runUntil() then replays the exact lockstep sequence of edge instants
- * but elides the component callbacks on edges every due domain
- * declares integrable. Because each skipped edge still advances the
- * domain's next-edge time by one period (the same repeated
- * floating-point addition lockstep performs), the due-set grouping
- * math is unchanged, and every accumulated span is flushed into the
- * skip hooks before any tick executes at an instant (so the hooks
- * integrate from state exactly as frozen at span approval), a
- * skip-scheduled run visits the identical instants and produces
- * bit-identical state; the horizon contract only has to err early
- * (execute a harmless edge), never late.
+ * Both scheduler modes advance the clock the same way; what the skip
+ * scheduler adds is per-component sleep *inside* the tick callbacks
+ * (see Gpu and MemoryPartition), never a skipped edge here.
  */
 
 #ifndef BWSIM_SIM_CLOCK_HH
@@ -49,36 +34,10 @@ constexpr std::uint64_t kInfiniteHorizon = ~std::uint64_t(0);
 class ClockDomain
 {
   public:
-    /**
-     * Returns how many upcoming edges of this domain are provably
-     * integrable given current component state: 0 means the very next
-     * edge must execute, kInfiniteHorizon means nothing happens until
-     * some other domain's execution changes the component's inputs.
-     * An integrable edge is either a pure no-op or charges per-cycle
-     * counters whose values are a frozen function of current state
-     * (the matching SkipFn reproduces them in bulk). Only called when
-     * the domain has no unreported skipped edges, so the component's
-     * own counters are up to date.
-     */
-    using HorizonFn = std::function<std::uint64_t()>;
-    /**
-     * Integrate @p n skipped edges into the component's per-cycle
-     * counters (cycle totals, frozen occupancy samples, memoized stall
-     * replays, pending/eject-blocked charges). Must leave all
-     * observable state exactly as @p n individual lockstep ticks would
-     * have; it runs before any tick executes at the flush instant, so
-     * the component state it reads is the state the span was approved
-     * against.
-     */
-    using SkipFn = std::function<void(std::uint64_t)>;
-
     ClockDomain(std::string name, double freq_mhz,
                 std::function<void()> tick_fn);
 
     const std::string &name() const { return domainName; }
-    double freqMhz() const { return freq; }
-    /** Domain period in picoseconds (not necessarily integral). */
-    double periodPs() const { return period; }
     /** Cycles completed so far. */
     Cycle cycle() const { return cycles; }
     /** Absolute time (ps) of the next edge. */
@@ -87,43 +46,13 @@ class ClockDomain
     /** Run one cycle and schedule the next edge. */
     void tick();
 
-    /** Change frequency mid-run (used by frequency-sweep experiments). */
-    void setFreqMhz(double freq_mhz);
-
-    /** @name Cycle-skip scheduling (see file comment) */
-    /**@{*/
-    /** Install the skip hooks; a domain without them never skips. */
-    void setSkipHooks(HorizonFn horizon_fn, SkipFn skip_fn);
-    bool skippable() const { return static_cast<bool>(horizonFn); }
-    /** Cached quiescence horizon, recomputed when invalidated. */
-    std::uint64_t horizon();
-    /** True iff horizon() would return without calling the hook. */
-    bool horizonCached() const { return horizonValid; }
-    /** Component inputs may have changed: recompute before next use. */
-    void invalidateHorizon() { horizonValid = false; }
-    /**
-     * Advance one edge without the callback. The edge is accumulated
-     * and reported to the SkipFn at the next flushSkips(); next-edge
-     * time advances by exactly one period, as tick() would.
-     */
-    void skipEdge();
-    /** Report accumulated skipped edges to the component, if any. */
-    void flushSkips();
-    /**@}*/
-
   private:
     std::string domainName;
-    double freq;
+    /** Domain period in picoseconds (not necessarily integral). */
     double period;
     double next = 0.0;
     Cycle cycles = 0;
     std::function<void()> fn;
-
-    HorizonFn horizonFn;
-    SkipFn skipFn;
-    std::uint64_t cachedHorizon = 0;
-    bool horizonValid = false;
-    std::uint64_t pendingSkips = 0;
 };
 
 /**
@@ -142,7 +71,6 @@ class MultiClock
     {
         return domains.at(idx);
     }
-    std::size_t numDomains() const { return domains.size(); }
 
     /** Current simulated time in picoseconds. */
     double nowPs() const { return now; }
@@ -150,63 +78,13 @@ class MultiClock
     /** Advance to the next edge instant, ticking all due domains. */
     void step();
 
-    /**
-     * Declare which domains' horizons executing @p src can invalidate
-     * (data-flow reachability; include @p src itself). Unset = all.
-     */
-    void setAffects(std::size_t src, std::vector<std::size_t> dsts);
-
-    /**
-     * Advance until domain @p driver_idx has completed @p target
-     * cycles, skipping edge instants where every due domain reports a
-     * positive horizon. The driver's target-reaching edge always
-     * executes, so nowPs() matches a lockstep run; all accumulated
-     * skips are flushed before returning.
-     */
-    void runUntil(std::size_t driver_idx, Cycle target);
-
-    /** @name Edge accounting (lockstep step() counts as ticked) */
-    /**@{*/
+    /** Domain edges ticked so far. */
     std::uint64_t tickedEdges() const { return ticked; }
-    std::uint64_t skippedEdges() const { return skipped; }
-    /**@}*/
 
   private:
-    /**
-     * Skip-attempt pacing (see runUntil): after a vetoed attempt the
-     * next skipHoldoff instants execute without querying horizons,
-     * doubling per consecutive veto up to the cap. Skipping either
-     * side of the heuristic is provably state-identical, so the pacing
-     * only trades skipped-edge counts against horizon-recompute cost;
-     * it is deterministic (a pure function of the run's veto history).
-     */
-    static constexpr std::uint32_t kMaxSkipBackoff = 64;
-    /** Skipped-instant streak treated as a genuine quiescent span. */
-    static constexpr std::uint32_t kGoodStreak = 16;
-    /**
-     * Minimum horizon a fresh attempt must find to open a span: a
-     * shorter one saves fewer ticks than the sweep + span-integration
-     * flush cost. Only applied when horizons were just recomputed --
-     * continuing an already-open span is nearly free at any length.
-     */
-    static constexpr std::uint64_t kMinSkipSpan = 8;
-
     std::vector<ClockDomain> domains;
-    std::vector<std::vector<std::size_t>> affects;
-    /** affects as per-source bitmasks, for cheap banked invalidation. */
-    std::vector<std::uint32_t> affectsMasks;
     double now = 0.0;
     std::uint64_t ticked = 0;
-    std::uint64_t skipped = 0;
-    std::uint32_t skipHoldoff = 0;
-    std::uint32_t skipBackoff = 0;
-    std::uint32_t skipStreak = 0;
-    /** Invalidations banked since the last attempt (bit per domain). */
-    std::uint32_t invalidMask = 0;
-    /** Domain that vetoed the last attempt; checked first on the next. */
-    std::size_t lastVeto = ~std::size_t(0);
-    /** Any skipped edges not yet reported to the SkipFns. */
-    bool skipsPending = false;
 };
 
 } // namespace bwsim

@@ -3,17 +3,16 @@
  * Process-global scheduler-mode selection and simulation-speed
  * telemetry.
  *
- * The scheduler mode (lockstep vs cycle-skip) is deliberately NOT a
+ * The scheduler mode (lockstep vs skip) is deliberately NOT a
  * GpuConfig knob: both modes produce bit-identical results, so the
  * mode must never enter cache keys or serialized results. It is a
  * process-global execution detail, selectable with --scheduler= or the
  * BWSIM_SCHEDULER environment variable (default: skip).
  *
- * The telemetry aggregates core-cycles simulated, wall time,
- * ticked/skipped edge counts and slept SM, L2-bank and DRAM-channel
- * ticks across every Gpu::run() in the process (worker threads
- * included), powering the --exec-stats report and the `bwsim perf`
- * harness.
+ * The telemetry aggregates core-cycles simulated, wall time, ticked
+ * clock edges and slept SM, L2-bank and DRAM-channel ticks across
+ * every Gpu::run() in the process (worker threads included), powering
+ * the --exec-stats report and the `bwsim perf` harness.
  */
 
 #ifndef BWSIM_SIM_SIM_SPEED_HH
@@ -25,7 +24,11 @@
 namespace bwsim
 {
 
-/** How MultiClock advances: every edge, or jumping dead spans. */
+/**
+ * Whether components sleep: Lockstep ticks every SM, L2 bank and DRAM
+ * channel on every edge of its clock; Skip lets each one sleep on its
+ * own horizon and charges the slept cycles in bulk when it wakes.
+ */
 enum class SchedulerMode
 {
     Lockstep,
@@ -49,23 +52,16 @@ struct SimSpeedTotals
     std::uint64_t runs = 0;
     std::uint64_t coreCycles = 0;
     std::uint64_t tickedEdges = 0;
-    std::uint64_t skippedEdges = 0;
     /**
-     * Fused spans: skipped icnt or DRAM spans whose integration
-     * charged per-cycle counters in bulk (memoized L2 stall replays,
-     * eject-blocked cycles, DRAM pending cycles) rather than being
-     * observable no-ops. A core-domain span never counts: every SM
-     * sleeps through it and is charged on its own stamp. fusedCycles
-     * counts the edges so integrated; every fused cycle is also in
-     * skippedEdges (fused is a subset marker, not disjoint).
+     * Always 0: both modes tick every clock edge, so no edge is
+     * skipped and no span fused. Kept only because the sweep
+     * benchmark (benchmark/bwsim_bench.cc) reads both fields.
      */
+    std::uint64_t skippedEdges = 0;
     std::uint64_t fusedSpans = 0;
-    std::uint64_t fusedCycles = 0;
     /**
      * SM ticks replaced by bulk charges while that SM slept on its own
-     * horizon (per-SM sleep, see Gpu): its slept share of executed
-     * core edges, plus every core edge the domain skipped, since all
-     * SMs sleep through a skipped core span.
+     * horizon (per-SM sleep, see Gpu).
      */
     std::uint64_t sleptCoreCycles = 0;
     /** L2-bank and DRAM-channel ticks replaced by bulk charges while
@@ -86,17 +82,10 @@ struct SimSpeedTotals
 
 /** Record one completed simulation (thread-safe). */
 void recordSimSpeed(std::uint64_t core_cycles, std::uint64_t ticked_edges,
-                    std::uint64_t skipped_edges,
                     std::uint64_t slept_core_cycles,
                     std::uint64_t slept_l2_ticks,
                     std::uint64_t slept_dram_ticks,
                     std::uint64_t wall_nanos);
-
-/**
- * Record one fused span: a flush of @p fused_cycles skipped edges in
- * one domain that charged per-cycle counters in bulk (thread-safe).
- */
-void recordFusedSpan(std::uint64_t fused_cycles);
 
 SimSpeedTotals simSpeedTotals();
 

@@ -677,10 +677,10 @@ SmCore::quiesceHorizon()
         return 0;
 
     // A buffered LSU access whose stall cause is memoized against the
-    // current L1D version is a fused span: each skipped cycle is
-    // exactly one replayed countStall() on the oldest slot, charged in
-    // bulk by skipCycles(). An unmemoized (or stale) access must tick
-    // to re-probe.
+    // current L1D version does not pin: each slept cycle is exactly
+    // one replayed countStall() on the oldest slot, charged in bulk by
+    // skipCycles(). An unmemoized (or stale) access must tick to
+    // re-probe.
     if (lsuOccupied > 0) {
         const LsuSlot &s = lsu[lsuHead];
         if (!(memRetryValid && l1dCache->version() == memRetryVer &&
@@ -691,7 +691,7 @@ SmCore::quiesceHorizon()
 
     // Likewise for fetch: the round-robin scan visits only eligible
     // warps, so if every one of them has a memoized stall against the
-    // current L1I version, each skipped cycle is one replayed
+    // current L1I version, each slept cycle is one replayed
     // countStall() for the warp the rotation lands on -- integrable in
     // closed form (see integrateFetchRotation). Any eligible warp
     // without a valid memo must tick to probe the I-cache.
@@ -704,7 +704,7 @@ SmCore::quiesceHorizon()
 
     // Any decoded warp that could issue next tick pins the horizon
     // (the issue stage starts each cycle with no ALU issues). If none
-    // can, every skipped cycle classifies as the same frozen stall.
+    // can, every slept cycle classifies as the same frozen stall.
     if (readyHeads(0) != 0)
         return 0;
     skipStallCause = stallCause();
@@ -766,17 +766,17 @@ SmCore::skipCycles(std::uint64_t n)
     ctr.cycles += n;
     if (!finishedLatched)
         ctr.activeCycles += n;
-    // No issue is possible on a skipped span, so every cycle
+    // No issue is possible while the SM sleeps, so every cycle
     // classifies as the frozen stall cause (or as idle with no warps
     // resident).
     if (liveWarps > 0)
         ctr.issueStalls[static_cast<unsigned>(skipStallCause)] += n;
-    // Fused charges: the horizon only reported this span because the
-    // memoized retries below were valid, and no state they consult can
-    // have changed since (a sleeping SM's state changes only during
-    // its own visit, and it is charged before that visit), so
-    // re-deriving from live state replays exactly what n lockstep
-    // ticks would have counted.
+    // Memoized retries: the horizon only let the SM sleep because the
+    // memos below were valid, and no state they consult can have
+    // changed since (a sleeping SM's state changes only during its own
+    // visit, and it is charged before that visit), so re-deriving from
+    // live state replays exactly what n lockstep ticks would have
+    // counted.
     if (lsuOccupied > 0)
         l1dCache->countStalls(memRetryCause, n);
     if (fetchEligible != 0)

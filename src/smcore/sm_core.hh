@@ -160,18 +160,18 @@ class SmCore
     void tick(double now_ps);
 
     /**
-     * Quiescence horizon (cycle-skip scheduler): how many upcoming
-     * ticks are provably integrable by skipCycles(). 0 whenever a tick
-     * could change state in a way a bulk charge cannot reproduce --
-     * CTA dispatch, retirement, an unmemoized fetch or LSU attempt, an
-     * issuable decoded instruction, or the finish latch -- else the
-     * earliest ALU/SFU/L1-hit pipe completion. A fetch attempt or
-     * buffered LSU access whose stall cause is memoized against the
-     * current cache version is NOT a pin: each such cycle is a known
-     * counter increment, so the span stays skippable (fused) and
-     * skipCycles() charges the increments in one shot.
-     * Also precomputes the (frozen) per-cycle stall classification the
-     * skipped span will be attributed to by skipCycles().
+     * Quiescence horizon (per-SM sleep): how many upcoming ticks
+     * skipCycles() can stand in for. 0 whenever a tick could change
+     * state in a way a bulk charge cannot reproduce -- CTA dispatch,
+     * retirement, an unmemoized fetch or LSU attempt, an issuable
+     * decoded instruction, or the finish latch -- else the earliest
+     * ALU/SFU/L1-hit pipe completion. A fetch attempt or buffered LSU
+     * access whose stall cause is memoized against the current cache
+     * version is NOT a pin: each such cycle is a known counter
+     * increment, so the SM may sleep through it and skipCycles()
+     * charges the increments in one shot. Also precomputes the
+     * (frozen) per-cycle stall classification the slept cycles will
+     * be attributed to by skipCycles().
      *
      * The Gpu reads it once per visit, right after the tick, to decide
      * whether the SM sleeps; a sleeping SM's folded wake cycle stands
@@ -181,15 +181,15 @@ class SmCore
     std::uint64_t quiesceHorizon();
 
     /**
-     * Integrate @p n skipped cycles: cycle/active-cycle counters, the
+     * Charge @p n slept cycles: cycle/active-cycle counters, the
      * frozen issue-stall attribution quiesceHorizon() stashed, plus
-     * the memoized per-cycle L1D/L1I stall replays of a fused span
-     * (including the fetch round-robin rotation, integrated in closed
-     * form). Valid only on a span the horizon declared integrable.
+     * the memoized per-cycle L1D/L1I stall replays (including the
+     * fetch round-robin rotation, integrated in closed form). Valid
+     * only within the horizon quiesceHorizon() last reported.
      * Additive: skipCycles(a) then skipCycles(b) equals
-     * skipCycles(a + b), so a span may be charged in pieces. The Gpu
-     * charges a sleeping SM in one call when it wakes (or at the end
-     * of the run), core-domain skips included.
+     * skipCycles(a + b), so the cycles may be charged in pieces. The
+     * Gpu charges a sleeping SM in one call when it wakes (or at the
+     * end of the run).
      */
     void skipCycles(std::uint64_t n);
 
@@ -409,7 +409,7 @@ class SmCore
     /**@}*/
 
     bool finishedLatched = false;
-    /** Stall cause a skipped span integrates (see quiesceHorizon). */
+    /** Stall cause slept cycles are charged to (see quiesceHorizon). */
     IssueStall skipStallCause = IssueStall::Fetch;
     CoreCounters ctr;
 };

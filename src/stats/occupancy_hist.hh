@@ -55,8 +55,8 @@ class OccupancyHist
 
     /**
      * Record @p cycles consecutive cycles at a frozen @p occupancy
-     * (the cycle-skip scheduler's span integration: occupancy cannot
-     * change while every edge in the span is a no-op).
+     * (the bulk charge for a sleeping L2 bank or DRAM channel: its
+     * queue cannot change while it sleeps).
      */
     void
     sample(std::size_t occupancy, std::size_t capacity,

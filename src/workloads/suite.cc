@@ -323,8 +323,9 @@ makeTestProfile(const std::string &name)
         // one warp issuing a chain of dependent random misses
         // (ilpDistance=1, pRandom=1 over a DRAM-sized region), so the
         // whole machine quiesces for the ~hundreds-of-cycles round
-        // trip of every load. The cycle-skip scheduler shines here;
-        // lockstep crawls through the dead cycles one edge at a time.
+        // trip of every load. Under the skip scheduler every SM, bank
+        // and channel sleeps through those dead cycles; lockstep
+        // ticks each of them one edge at a time.
         p.numCtas = 1;
         p.warpsPerCta = 1;
         p.maxCtasPerCore = 1;

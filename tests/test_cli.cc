@@ -145,6 +145,9 @@ TEST(Cli, UnknownFormatRejected)
     std::string out, err;
     EXPECT_NE(runCli({"tab1", "--format=xml"}, out, err), 0);
     EXPECT_NE(err.find("--format"), std::string::npos);
+    // The message lists every format parseTableFormat accepts.
+    for (const char *fmt : {"text", "csv", "tsv", "json"})
+        EXPECT_NE(err.find(fmt), std::string::npos) << fmt;
 }
 
 TEST(Cli, FormatJsonEmitsOneObjectPerTableNoHeadings)

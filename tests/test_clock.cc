@@ -1,13 +1,12 @@
 /**
  * @file
- * MultiClock unit tests: intra-instant ordering, mid-run frequency
- * changes, and the cycle-skip scheduler (horizon contract, wake
- * alignment, lockstep equivalence, the Gpu::run() cap clamp).
+ * MultiClock unit tests (intra-instant ordering, earliest-edge-first
+ * interleaving) and the two Gpu schedulers: lockstep equivalence,
+ * per-SM sleep on a latency-bound run, and the Gpu::run() cap clamp.
  */
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <sstream>
 #include <vector>
 
@@ -92,146 +91,6 @@ TEST(MultiClock, EarliestEdgeFirstAcrossRates)
     EXPECT_EQ(mc.domain(slow).cycle(), 2u);
 }
 
-TEST(MultiClock, SetFreqMidRunReschedulesFollowingEdges)
-{
-    // The already-scheduled next edge stays; only later edges move to
-    // the new period.
-    MultiClock mc;
-    std::vector<double> instants;
-    std::size_t d = mc.addDomain("d", 1000.0, [&] {
-        instants.push_back(mc.nowPs());
-    });
-    mc.step(); // first edge at 0 ps
-    mc.domain(d).setFreqMhz(500.0);
-    mc.step(); // still 1000 ps (scheduled under the old period)
-    mc.step(); // 3000 ps (new 2000 ps period)
-    ASSERT_EQ(instants.size(), 3u);
-    EXPECT_DOUBLE_EQ(instants[0], 0.0);
-    EXPECT_DOUBLE_EQ(instants[1], 1000.0);
-    EXPECT_DOUBLE_EQ(instants[2], 3000.0);
-}
-
-TEST(MultiClock, RunUntilSkipsDeadEdgesButNeverADueEvent)
-{
-    // A component with events at known cycles: its tick is a no-op
-    // except at event cycles, and the horizon reports the exact
-    // distance to the next event. runUntil must execute a tick AT
-    // every event cycle (never jump past it) and may skip the rest.
-    const std::vector<std::uint64_t> events = {3, 4, 10, 37, 64, 65, 96};
-    MultiClock mc;
-    std::uint64_t cycles = 0;
-    std::size_t next_event = 0;
-    std::vector<std::uint64_t> executed;
-    std::size_t d = mc.addDomain("d", 1000.0, [&] {
-        ++cycles;
-        executed.push_back(cycles);
-        if (next_event < events.size() && cycles == events[next_event])
-            ++next_event;
-    });
-    std::uint64_t skip_integrated = 0;
-    mc.domain(d).setSkipHooks(
-        [&]() -> std::uint64_t {
-            if (next_event >= events.size())
-                return kInfiniteHorizon;
-            return events[next_event] - cycles - 1;
-        },
-        [&](std::uint64_t n) {
-            cycles += n;
-            skip_integrated += n;
-        });
-    mc.runUntil(d, 100);
-
-    EXPECT_EQ(cycles, 100u);
-    EXPECT_EQ(mc.domain(d).cycle(), 100u);
-    // Every event cycle was executed, not skipped.
-    for (std::uint64_t e : events)
-        EXPECT_NE(std::find(executed.begin(), executed.end(), e),
-                  executed.end())
-            << "event at cycle " << e << " was skipped";
-    // The target-reaching edge always executes (nowPs() must match a
-    // lockstep run: cycle N's edge fires at (N-1) periods).
-    EXPECT_EQ(executed.back(), 100u);
-    EXPECT_DOUBLE_EQ(mc.nowPs(), 99 * 1000.0);
-    // And the dead span really was skipped, with every skipped edge
-    // reported through the skip hook.
-    EXPECT_GT(mc.skippedEdges(), 0u);
-    EXPECT_EQ(mc.tickedEdges() + mc.skippedEdges(), 100u);
-    EXPECT_EQ(skip_integrated, mc.skippedEdges());
-}
-
-TEST(MultiClock, RunUntilMatchesStepAcrossDomains)
-{
-    // Two asynchronous domains, one with periodic events: the skip
-    // run must visit the identical executed instants and end at the
-    // identical nowPs() as a pure step() run.
-    auto build = [](MultiClock &mc, std::uint64_t &a_cycles,
-                    std::uint64_t &b_cycles,
-                    std::vector<double> *b_instants) {
-        mc.addDomain("a", 924.0, [&a_cycles] { ++a_cycles; });
-        std::size_t b = mc.addDomain("b", 1400.0, [&, b_instants] {
-            ++b_cycles;
-            if (b_instants && b_cycles % 13 == 0)
-                b_instants->push_back(mc.nowPs());
-        });
-        return b;
-    };
-
-    MultiClock ls;
-    std::uint64_t ls_a = 0, ls_b = 0;
-    std::vector<double> ls_instants;
-    std::size_t ls_bd = build(ls, ls_a, ls_b, &ls_instants);
-    while (ls.domain(ls_bd).cycle() < 200)
-        ls.step();
-
-    MultiClock sk;
-    std::uint64_t sk_a = 0, sk_b = 0;
-    std::vector<double> sk_instants;
-    std::size_t sk_bd = build(sk, sk_a, sk_b, &sk_instants);
-    // b quiesces except every 13th cycle; a is always dead.
-    sk.domain(0).setSkipHooks(
-        [&]() -> std::uint64_t { return kInfiniteHorizon; },
-        [&sk_a](std::uint64_t n) { sk_a += n; });
-    sk.domain(sk_bd).setSkipHooks(
-        [&]() -> std::uint64_t { return 12 - (sk_b % 13); },
-        [&sk_b](std::uint64_t n) { sk_b += n; });
-    sk.runUntil(sk_bd, 200);
-
-    EXPECT_EQ(sk_a, ls_a);
-    EXPECT_EQ(sk_b, ls_b);
-    EXPECT_DOUBLE_EQ(sk.nowPs(), ls.nowPs());
-    EXPECT_EQ(sk_instants, ls_instants); // bit-identical event times
-    EXPECT_GT(sk.skippedEdges(), 0u);
-}
-
-TEST(MultiClock, WokenDomainResumesOnItsOwnGrid)
-{
-    // A domain that skips a long dead span must keep its own edge
-    // grid: after n skipped edges its next edge is exactly n+1
-    // periods after the pre-skip edge (same repeated-addition float
-    // path as ticking).
-    MultiClock ref;
-    std::uint64_t ref_c = 0;
-    std::size_t rd = ref.addDomain("d", 700.0, [&ref_c] { ++ref_c; });
-    for (int i = 0; i < 50; ++i)
-        ref.step();
-    double ref_next = ref.domain(rd).nextEdge();
-
-    MultiClock mc;
-    std::uint64_t c = 0;
-    std::size_t d = mc.addDomain("d", 700.0, [&c] { ++c; });
-    mc.domain(d).setSkipHooks(
-        [&]() -> std::uint64_t { return c < 49 ? 49 - c : 0; },
-        [&c](std::uint64_t n) { c += n; });
-    mc.runUntil(d, 50);
-
-    EXPECT_EQ(c, 50u);
-    EXPECT_EQ(mc.skippedEdges(), 49u);
-    // Bit-identical next-edge time: skipping used the same += period
-    // chain as ticking.
-    EXPECT_EQ(mc.domain(d).nextEdge(), ref_next);
-    EXPECT_EQ(mc.nowPs(), ref.nowPs());
-}
-
 TEST(GpuScheduler, SkipAndLockstepAreBitIdentical)
 {
     ModeGuard guard;
@@ -251,7 +110,7 @@ TEST(GpuScheduler, SkipAndLockstepAreBitIdentical)
     EXPECT_EQ(statsDump(a), statsDump(b)); // every counter, verbatim
 }
 
-TEST(GpuScheduler, LatencyBoundProfileSkipsEdges)
+TEST(GpuScheduler, LatencyBoundProfileSleepsItsSMs)
 {
     ModeGuard guard;
     setSchedulerMode(SchedulerMode::Skip);
@@ -260,12 +119,12 @@ TEST(GpuScheduler, LatencyBoundProfileSkipsEdges)
     SimResult r = gpu.run();
     const SimSpeedTotals after = simSpeedTotals();
     EXPECT_FALSE(r.timedOut);
-    // The dependent-miss chain leaves most edges dead: the scheduler
-    // must actually skip a majority of them.
-    const std::uint64_t ticked = after.tickedEdges - before.tickedEdges;
-    const std::uint64_t skipped =
-        after.skippedEdges - before.skippedEdges;
-    EXPECT_GT(skipped, ticked);
+    // One warp's dependent-miss chain leaves 14 SMs idle throughout
+    // and the fifteenth idle for most of each round trip: more than
+    // half of all SM ticks must be slept rather than run.
+    const std::uint64_t slept =
+        after.sleptCoreCycles - before.sleptCoreCycles;
+    EXPECT_GT(slept, 15 * r.coreCycles / 2);
 }
 
 TEST(GpuScheduler, CycleCapIsExactUnderBothSchedulers)

@@ -48,16 +48,6 @@ TEST(Clock, IntraInstantOrder)
     EXPECT_EQ(order[1], 2);
 }
 
-TEST(Clock, FrequencyChange)
-{
-    MultiClock mc;
-    int ticks = 0;
-    std::size_t d = mc.addDomain("core", 1000.0, [&] { ++ticks; });
-    mc.step();
-    mc.domain(d).setFreqMhz(2000.0);
-    EXPECT_DOUBLE_EQ(mc.domain(d).periodPs(), 500.0);
-}
-
 TEST(BoundedQueue, CapacityAndOrder)
 {
     BoundedQueue<int> q(2);

@@ -1,15 +1,18 @@
 /**
  * @file
  * Seeded lockstep-vs-skip differential: per-SM, per-L2-bank and
- * per-DRAM-channel sleep (and the domain-level skip they ride on)
- * must be invisible on inputs nobody hand-picked. Each seed draws a
- * hierarchy preset, for half the seeds a shrunk memory-side shape
- * (tiny DRAM, L2 and network queues, other bank and partition
+ * per-DRAM-channel sleep, the skip scheduler's only difference from
+ * lockstep, must be invisible on inputs nobody hand-picked. Each seed
+ * draws a hierarchy preset, for half the seeds a shrunk memory-side
+ * shape (tiny DRAM, L2 and network queues, other bank and partition
  * counts), and a workload -- a pointer-chase or stride probe with
  * random parameters, a shrunk suite profile, or a small CTA-tagged
  * trace with stores -- runs it under both schedulers and requires
  * byte-identical --dump-stats trees and a fully drained packet
- * allocator.
+ * allocator. Each run must also conserve bytes across the
+ * interconnect (once drained, the L1<->icnt and icnt<->L2 boundaries
+ * count the same bytes) and keep every boundary's utilization within
+ * [0, 1].
  *
  * The short budget runs in the quick suite. The long budget is a
  * disabled test for the nightly job:
@@ -197,9 +200,17 @@ runUnder(const Case &c, SchedulerMode mode)
     ScopedSchedulerMode scope(mode);
     Gpu gpu(c.config, c.workload);
     SimResult r = gpu.run();
+    const char *m = schedulerModeName(mode);
     EXPECT_FALSE(r.timedOut);
-    EXPECT_EQ(gpu.allocator().outstanding(), 0u)
-        << schedulerModeName(mode) << " run leaked packets";
+    EXPECT_EQ(gpu.allocator().outstanding(), 0u) << m << " run leaked packets";
+    if (gpu.memSystem().hasMemoryClocks()) {
+        EXPECT_EQ(r.l1IcntBytes, r.icntL2Bytes)
+            << m << " run lost or made bytes inside the interconnect";
+    }
+    for (double util : {r.l1IcntUtil, r.icntL2Util, r.l2DramUtil}) {
+        EXPECT_GE(util, 0.0) << m;
+        EXPECT_LE(util, 1.0) << m;
+    }
     std::ostringstream os;
     gpu.dumpStats(os);
     return os.str();
