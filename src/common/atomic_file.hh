@@ -18,6 +18,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -40,17 +41,35 @@ isTempFileName(const std::string &name)
            name.compare(name.size() - 5, 5, ".part") == 0;
 }
 
-/** Whole file as bytes; false when unreadable (e.g. concurrently
- *  renamed away). */
+/**
+ * Whole file as bytes; false when unreadable (e.g. concurrently
+ * renamed away). Reads are unbuffered, straight into @p out, sized
+ * one byte over the file: a file that does not grow meanwhile costs
+ * one read(2) for its bytes and one that sees end-of-file, and no
+ * byte more than it holds. A file that grew, or one without a size
+ * (a pipe), doubles the buffer until a read comes up short.
+ */
 inline bool
 readFileBytes(const std::filesystem::path &path, std::string &out)
 {
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
+    std::FILE *f = std::fopen(path.string().c_str(), "rb");
+    if (!f)
         return false;
-    out.assign((std::istreambuf_iterator<char>(in)),
-               std::istreambuf_iterator<char>());
-    return true;
+    std::setvbuf(f, nullptr, _IONBF, 0);
+    std::error_code ec;
+    const std::uintmax_t size = std::filesystem::file_size(path, ec);
+    out.resize(ec ? 4096 : static_cast<std::size_t>(size) + 1);
+    std::size_t n = 0;
+    for (;;) {
+        n += std::fread(out.data() + n, 1, out.size() - n, f);
+        if (n < out.size())
+            break; // end of file, or an error
+        out.resize(2 * out.size());
+    }
+    const bool ok = !std::ferror(f);
+    std::fclose(f);
+    out.resize(ok ? n : 0);
+    return ok;
 }
 
 /**

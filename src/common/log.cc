@@ -2,7 +2,6 @@
 
 #include <atomic>
 #include <cstdarg>
-#include <vector>
 
 namespace bwsim
 {
@@ -27,20 +26,29 @@ quiet()
 std::string
 csprintf(const char *fmt, ...)
 {
+    // One pass into a stack buffer covers nearly every caller (names,
+    // file names, stat lines); only longer output formats twice.
+    char stack[256];
     va_list args;
     va_start(args, fmt);
     va_list args_copy;
     va_copy(args_copy, args);
-    int len = std::vsnprintf(nullptr, 0, fmt, args);
+    const int len = std::vsnprintf(stack, sizeof(stack), fmt, args);
     va_end(args);
     if (len < 0) {
         va_end(args_copy);
         return std::string(fmt);
     }
-    std::vector<char> buf(static_cast<size_t>(len) + 1);
-    std::vsnprintf(buf.data(), buf.size(), fmt, args_copy);
+    const std::size_t n = static_cast<std::size_t>(len);
+    if (n < sizeof(stack)) {
+        va_end(args_copy);
+        return std::string(stack, n);
+    }
+    // std::string keeps a writable terminator slot at data()[n].
+    std::string out(n, '\0');
+    std::vsnprintf(out.data(), n + 1, fmt, args_copy);
     va_end(args_copy);
-    return std::string(buf.data(), static_cast<size_t>(len));
+    return out;
 }
 
 void

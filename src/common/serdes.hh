@@ -2,8 +2,8 @@
  * @file
  * Minimal binary serialization primitives: a bounds-checked
  * little-endian ByteWriter/ByteReader pair plus FNV-1a hashing.
- * Shared by the on-disk SimCache tier and the sharded-sweep result
- * files so every persisted SimResult uses one byte format.
+ * Shared by the on-disk SimCache tier and the work-queue job and
+ * reply files so every persisted SimResult uses one byte format.
  *
  * The format is deliberately simple: fixed-width little-endian
  * integers, doubles as their IEEE-754 bit pattern, strings and blobs
@@ -19,6 +19,7 @@
 #include <cstdint>
 #include <cstring>
 #include <string>
+#include <string_view>
 
 namespace bwsim
 {
@@ -37,7 +38,7 @@ fnv1a64(const void *data, std::size_t len)
 }
 
 inline std::uint64_t
-fnv1a64(const std::string &s)
+fnv1a64(std::string_view s)
 {
     return fnv1a64(s.data(), s.size());
 }
@@ -55,15 +56,19 @@ class ByteWriter
     void
     u32(std::uint32_t v)
     {
+        char b[4];
         for (int i = 0; i < 4; ++i)
-            u8(static_cast<std::uint8_t>(v >> (8 * i)));
+            b[i] = static_cast<char>(v >> (8 * i));
+        buf.append(b, sizeof(b));
     }
 
     void
     u64(std::uint64_t v)
     {
+        char b[8];
         for (int i = 0; i < 8; ++i)
-            u8(static_cast<std::uint8_t>(v >> (8 * i)));
+            b[i] = static_cast<char>(v >> (8 * i));
+        buf.append(b, sizeof(b));
     }
 
     /** IEEE-754 bit pattern: the round trip is exact, NaNs included. */
@@ -154,10 +159,18 @@ class ByteReader
     std::string
     str()
     {
+        return std::string(strView());
+    }
+
+    /** str() without the copy: a view into the borrowed buffer, valid
+     *  as long as it is; empty on a short read. */
+    std::string_view
+    strView()
+    {
         std::uint32_t len = u32();
         if (!take(len))
-            return std::string();
-        return std::string(p + pos - len, len);
+            return std::string_view();
+        return std::string_view(p + pos - len, len);
     }
 
     /** False once any read ran past the end of the buffer. */
@@ -214,10 +227,10 @@ unframeBlob(std::uint32_t magic, std::uint32_t version,
     if (r.u32() != magic || r.u32() != version)
         return false;
     const std::uint64_t checksum = r.u64();
-    std::string payload = r.str();
+    const std::string_view payload = r.strView();
     if (!r.ok() || r.remaining() != 0 || fnv1a64(payload) != checksum)
         return false;
-    payload_out = std::move(payload);
+    payload_out.assign(payload);
     return true;
 }
 

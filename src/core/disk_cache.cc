@@ -5,6 +5,7 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <string_view>
 #include <system_error>
 
 #include "common/atomic_file.hh"
@@ -75,6 +76,8 @@ DiskSimCache::load(const std::string &key, SimResult &out) const
         return false;
     };
 
+    // Key compare, checksum and decode all work on the one read
+    // buffer in place.
     ByteReader r(data);
     if (r.u32() != kMagic || r.u32() != formatVersion ||
         r.u32() != simResultSerdesVersion ||
@@ -82,14 +85,14 @@ DiskSimCache::load(const std::string &key, SimResult &out) const
         r.u32() != static_cast<std::uint32_t>(sizeof(BenchmarkProfile)) ||
         r.u32() != static_cast<std::uint32_t>(sizeof(SimResult)))
         return reject();
-    if (r.str() != key || !r.ok())
+    if (r.strView() != key || !r.ok())
         return reject();
     const std::uint64_t checksum = r.u64();
-    const std::string payload = r.str();
+    const std::string_view payload = r.strView();
     if (!r.ok() || r.remaining() != 0 || fnv1a64(payload) != checksum)
         return reject();
 
-    ByteReader pr(payload);
+    ByteReader pr(payload.data(), payload.size());
     if (!deserializeResult(pr, out) || pr.remaining() != 0)
         return reject();
 

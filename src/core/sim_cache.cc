@@ -15,7 +15,12 @@ SimCache::global()
 std::string
 SimCache::keyOf(const WorkloadSpec &workload, const GpuConfig &config)
 {
-    return workload.cacheKey() + '\n' + config.cacheKey();
+    std::string key = workload.cacheKey();
+    const std::string config_key = config.cacheKey();
+    key.reserve(key.size() + 1 + config_key.size());
+    key += '\n';
+    key += config_key;
+    return key;
 }
 
 SimResult

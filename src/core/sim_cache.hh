@@ -81,6 +81,15 @@ class SimCache
      */
     void clear();
 
+    /**
+     * The full identity of one simulation: the workload key, a
+     * newline, then the config key. Disk-tier entry names and
+     * headers and work-queue job and reply names all derive from it,
+     * so its bytes are pinned (tests/golden/cache_keys.txt).
+     */
+    static std::string keyOf(const WorkloadSpec &workload,
+                             const GpuConfig &config);
+
     /** @name Counters (tests assert baseline runs exactly once) */
     /**@{*/
     /** In-memory tier hits. */
@@ -96,9 +105,6 @@ class SimCache
     /**@}*/
 
   private:
-    static std::string keyOf(const WorkloadSpec &workload,
-                             const GpuConfig &config);
-
     /** Run misses on the configured backend (default: threaded). */
     std::vector<SimResult>
     simulate(const std::shared_ptr<ExecutionBackend> &backend,

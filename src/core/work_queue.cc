@@ -78,9 +78,9 @@ sleepSeconds(double s)
 std::string
 workKeyOf(const RunSpec &spec)
 {
-    // Must match SimCache's internal keying so a spool shared with a
-    // cache directory dedupes on the same identity.
-    return spec.workload.cacheKey() + '\n' + spec.config.cacheKey();
+    // SimCache's own key, so a spool shared with a cache directory
+    // dedupes on the same identity.
+    return SimCache::keyOf(spec.workload, spec.config);
 }
 
 std::string

@@ -1,6 +1,7 @@
 #include "stats/table.hh"
 
 #include <algorithm>
+#include <charconv>
 #include <iomanip>
 
 #include "common/log.hh"
@@ -40,22 +41,52 @@ TextTable::add(const char *cell)
     return add(std::string(cell));
 }
 
+namespace
+{
+
+/** Widest precision addNum()/addPct() accept. */
+constexpr int kMaxPrecision = 17;
+
+/**
+ * printf's "%.*f" (plus '%' when @p percent) through std::to_chars,
+ * which the standard defines fixed-with-precision to be. The buffer
+ * fits the longest double: sign, 309 integer digits, point,
+ * kMaxPrecision digits and the '%'.
+ */
+std::string
+fixedCell(double v, int precision, bool percent)
+{
+    bwsim_assert(precision >= 0 && precision <= kMaxPrecision,
+                 "table precision %d outside [0, %d]", precision,
+                 kMaxPrecision);
+    char buf[1 + 309 + 1 + kMaxPrecision + 1];
+    char *end = std::to_chars(buf, buf + sizeof(buf) - 1, v,
+                              std::chars_format::fixed, precision)
+                    .ptr;
+    if (percent)
+        *end++ = '%';
+    return std::string(buf, end);
+}
+
+} // anonymous namespace
+
 TextTable &
 TextTable::addNum(double v, int precision)
 {
-    return add(csprintf("%.*f", precision, v));
+    return add(fixedCell(v, precision, false));
 }
 
 TextTable &
 TextTable::addInt(long long v)
 {
-    return add(csprintf("%lld", v));
+    char buf[24]; // sign + 19 digits
+    return add(std::string(buf, std::to_chars(buf, buf + sizeof(buf), v).ptr));
 }
 
 TextTable &
 TextTable::addPct(double fraction, int precision)
 {
-    return add(csprintf("%.*f%%", precision, fraction * 100.0));
+    return add(fixedCell(fraction * 100.0, precision, true));
 }
 
 const std::string &

@@ -29,9 +29,13 @@ class TextTable
 
     TextTable &add(const std::string &cell);
     TextTable &add(const char *cell);
+    /** @name Numeric cells, byte-identical to printf's "%.*f",
+     *  "%lld" and "%.*f%%" (precision in [0, 17]) */
+    /**@{*/
     TextTable &addNum(double v, int precision = 2);
     TextTable &addInt(long long v);
     TextTable &addPct(double fraction, int precision = 1);
+    /**@}*/
 
     std::size_t numRows() const { return rows.size(); }
     std::size_t numCols() const { return header.size(); }

@@ -369,7 +369,7 @@ BenchmarkProfile::cacheKey() const
     // generated trace must appear, or the SimCache would conflate
     // distinct workloads. paperPinf/paperPdram are report-only
     // reference values and deliberately stay out of the key.
-    KeyBuilder kb(192);
+    KeyBuilder kb(256);
     auto addU = [&kb](std::uint64_t v) { kb.addU(v); };
     auto addI = [&kb](long long v) { kb.addI(v); };
     auto addF = [&kb](double v) { kb.addF(v); };

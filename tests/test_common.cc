@@ -1,12 +1,22 @@
-/** @file Unit tests for src/common: intmath, rng, logging helpers. */
+/** @file Unit tests for src/common: intmath, rng, logging helpers,
+ *  whole-file reads. */
 
 #include <gtest/gtest.h>
 
+#include <csignal>
+#include <filesystem>
+#include <fstream>
 #include <set>
+#include <thread>
 
+#include "common/atomic_file.hh"
 #include "common/intmath.hh"
 #include "common/log.hh"
 #include "common/rng.hh"
+
+#ifdef __unix__
+#include <sys/stat.h>
+#endif
 
 using namespace bwsim;
 
@@ -121,6 +131,18 @@ TEST(Log, Csprintf)
     EXPECT_EQ(csprintf("x=%d", 42), "x=42");
     EXPECT_EQ(csprintf("%s-%05u", "ab", 7u), "ab-00007");
     EXPECT_EQ(csprintf("plain"), "plain");
+
+    // Up to 255 bytes format in one pass into a stack buffer; longer
+    // output takes the sized second pass. Both return exactly the
+    // formatted bytes.
+    for (std::size_t len : {std::size_t(0), std::size_t(254),
+                            std::size_t(255), std::size_t(256),
+                            std::size_t(257), std::size_t(5000)}) {
+        const std::string body(len, 'q');
+        EXPECT_EQ(csprintf("%s", body.c_str()), body) << len;
+        EXPECT_EQ(csprintf("<%s>%d", body.c_str(), 7), "<" + body + ">7")
+            << len;
+    }
 }
 
 TEST(Log, QuietFlag)
@@ -131,3 +153,89 @@ TEST(Log, QuietFlag)
     setQuiet(false);
     EXPECT_FALSE(quiet());
 }
+
+namespace
+{
+
+std::filesystem::path
+scratchFile(const std::string &name)
+{
+    const auto path =
+        std::filesystem::path(::testing::TempDir()) / ("bwsim-" + name);
+    std::filesystem::remove(path);
+    return path;
+}
+
+void
+writeBytes(const std::filesystem::path &path, const std::string &bytes)
+{
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+/** Seeded pseudo-random bytes: a misplaced block cannot compare equal. */
+std::string
+patternBytes(std::size_t n)
+{
+    std::string s(n, '\0');
+    Rng rng(n);
+    for (char &c : s)
+        c = static_cast<char>(rng.next());
+    return s;
+}
+
+} // namespace
+
+TEST(ReadFileBytes, EmptyFileIsReadableAndEmpty)
+{
+    // DiskSimCache::load() tells a zero-length entry (interrupted
+    // write: warned miss) from an unreadable one by this.
+    const auto path = scratchFile("empty");
+    writeBytes(path, "");
+    std::string out = "stale";
+    EXPECT_TRUE(readFileBytes(path, out));
+    EXPECT_TRUE(out.empty());
+}
+
+TEST(ReadFileBytes, MissingFileIsFalse)
+{
+    std::string out;
+    EXPECT_FALSE(readFileBytes(scratchFile("missing"), out));
+    EXPECT_FALSE(readFileBytes(::testing::TempDir(), out))
+        << "a directory is not a file";
+}
+
+TEST(ReadFileBytes, SmallAndMultiMegabyteFilesRoundTrip)
+{
+    const auto path = scratchFile("round-trip");
+    for (std::size_t n : {std::size_t(1), std::size_t(1700),
+                          std::size_t(4096), std::size_t((1 << 20) + 12345)}) {
+        const std::string bytes = patternBytes(n);
+        writeBytes(path, bytes);
+        std::string out;
+        ASSERT_TRUE(readFileBytes(path, out)) << n;
+        EXPECT_EQ(out.size(), n);
+        EXPECT_TRUE(out == bytes) << "content differs at size " << n;
+    }
+}
+
+#ifdef __unix__
+TEST(ReadFileBytes, UnsizedStreamDoublesUntilEndOfFile)
+{
+    // A FIFO reports no size, so the read starts at 4 KiB and doubles
+    // until the writer closes: past 1 MiB that is nine doublings.
+    const auto path = scratchFile("fifo");
+    ASSERT_EQ(::mkfifo(path.c_str(), 0600), 0);
+    // A reader that stops early must fail this test, not kill it.
+    std::signal(SIGPIPE, SIG_IGN);
+    const std::string bytes = patternBytes((1 << 20) + 777);
+    std::thread writer([&] { writeBytes(path, bytes); });
+    std::string out;
+    const bool ok = readFileBytes(path, out);
+    writer.join();
+    std::filesystem::remove(path);
+    ASSERT_TRUE(ok);
+    EXPECT_EQ(out.size(), bytes.size());
+    EXPECT_TRUE(out == bytes);
+}
+#endif

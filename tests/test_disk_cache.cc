@@ -224,16 +224,27 @@ TEST(DiskSimCache, VersionMismatchRejected)
 TEST(DiskSimCache, TruncatedFileIsMissNotError)
 {
     DiskSimCache cache(freshDir("truncated"));
-    const std::string key = "k";
+    const std::string key = SimCache::keyOf(makeTestProfile("tiny-compute"),
+                                            GpuConfig::baseline());
     ASSERT_TRUE(cache.store(key, sampleResult()));
 
+    // Any cut short of the full entry -- inside the header, the
+    // stored key or the payload -- is a published entry gone bad:
+    // rejected(). Zero length is an interrupted write, a plain miss
+    // (ZeroLengthFileIsMissNotCorruption).
     std::string path = entryPathFor(cache, key);
     std::string bytes = readFile(path);
-    for (std::size_t cut : {std::size_t(0), std::size_t(3),
-                            bytes.size() / 2, bytes.size() - 1}) {
+    const std::size_t key_at = 7 * 4; // six header words + key length
+    std::uint64_t rejected = 0;
+    for (std::size_t cut :
+         {std::size_t(0), std::size_t(3), key_at + 10,
+          key_at + key.size() + 4, bytes.size() / 2, bytes.size() - 1}) {
         writeFile(path, bytes.substr(0, cut));
         SimResult out;
         EXPECT_FALSE(cache.load(key, out)) << "cut=" << cut;
+        if (cut > 0)
+            ++rejected;
+        EXPECT_EQ(cache.rejected(), rejected) << "cut=" << cut;
     }
     // Restoring the original bytes restores the entry.
     writeFile(path, bytes);
@@ -281,6 +292,20 @@ TEST(DiskSimCache, KeyStoredInsideFileGuardsHashCollisions)
     SimResult out;
     EXPECT_FALSE(cache.load("other-key", out));
     EXPECT_EQ(cache.rejected(), 1u);
+
+    // So must a stored key one byte off, wherever the byte is.
+    const std::string path = entryPathFor(cache, key);
+    const std::string bytes = readFile(path);
+    const std::size_t key_at = 7 * 4;
+    ASSERT_EQ(bytes.compare(key_at, key.size(), key), 0);
+    std::uint64_t rejected = 1;
+    for (std::size_t i : {std::size_t(0), key.size() / 2, key.size() - 1}) {
+        std::string bad = bytes;
+        bad[key_at + i] = static_cast<char>(bad[key_at + i] ^ 0x01);
+        writeFile(path, bad);
+        EXPECT_FALSE(cache.load(key, out)) << "key byte " << i;
+        EXPECT_EQ(cache.rejected(), ++rejected) << "key byte " << i;
+    }
 }
 
 TEST(DiskSimCache, SecondInvocationSimulatesNothing)
