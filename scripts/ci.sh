@@ -4,8 +4,7 @@
 # Usage: scripts/ci.sh [quick|test|smoke|asan]
 #   quick  -- build + the fast unit-label subset (pre-commit loop)
 #   test   -- build + the full ctest suite
-#   smoke  -- cache/--jobs/queue end-to-end checks against an existing
-#             build
+#   smoke  -- cache/--jobs end-to-end checks against an existing build
 #   asan   -- ASan+UBSan (+ libstdc++ assertions) instrumented build
 #             (build-asan/) + the quick-label suites under them
 #   (none) -- test + smoke
@@ -32,7 +31,7 @@ run_tests() {
 asan() {
     cmake -B build-asan -S . -DBWSIM_SANITIZE=address,undefined \
         -DCMAKE_CXX_FLAGS=-D_GLIBCXX_ASSERTIONS \
-        -DBWSIM_BUILD_BENCHES=OFF -DBWSIM_BUILD_EXAMPLES=OFF
+        -DBWSIM_BUILD_EXAMPLES=OFF
     cmake --build build-asan -j "$(nproc)"
     UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
         ctest --test-dir build-asan --output-on-failure \
@@ -42,13 +41,9 @@ asan() {
 # End-to-end checks of the execution backends:
 #  1. a warm --cache-dir invocation must simulate nothing (the run
 #     counter printed by --exec-stats must say sims=0);
-#  2. a --jobs sweep (forked local queue workers) must print tables
-#     byte-identical to the single-process run and leave no scratch
-#     spool behind in $TMPDIR;
-#  3. a --backend=queue sweep drained by two bwsim --worker processes
-#     must also print byte-identical tables;
-#  4. --cache-stats must report the warm entries and --cache-max-mb=0
-#     must evict them all.
+#  2. a --jobs sweep (forked children per batch) must print tables
+#     byte-identical to the single-process run and leave no files
+#     behind in $TMPDIR, for synthetic and trace workloads.
 smoke() {
     smoke_tmp=$(mktemp -d)
     trap 'rm -rf "$smoke_tmp"' EXIT
@@ -81,49 +76,12 @@ smoke() {
         exit 1
     }
     if [ -n "$(ls -A "$smoke_tmp/tmp")" ]; then
-        echo "smoke FAIL: --jobs=2 leaked its scratch spool:" >&2
+        echo "smoke FAIL: --jobs=2 left files in \$TMPDIR:" >&2
         ls -A "$smoke_tmp/tmp" >&2
         exit 1
     fi
 
-    echo "smoke: --backend=queue parity with 2 workers"
-    spool="$smoke_tmp/spool"
-    ./build/bwsim --worker --spool-dir="$spool" \
-        2> "$smoke_tmp/worker1.err" &
-    worker1=$!
-    ./build/bwsim --worker --spool-dir="$spool" \
-        2> "$smoke_tmp/worker2.err" &
-    worker2=$!
-    # Bounded: if both workers die, the parent would poll forever --
-    # better a fast diagnosable failure than a hung CI job.
-    queue_rc=0
-    timeout 300 \
-        ./build/bwsim $bwsim_args --backend=queue --spool-dir="$spool" \
-        > "$smoke_tmp/queue.out" 2> "$smoke_tmp/queue.err" \
-        || queue_rc=$?
-    # Stop sentinel: workers drain the queue, then exit. Wait one pid
-    # at a time: `wait p1 p2` reports only the last operand's status,
-    # which would mask a crash of the first worker.
-    : > "$spool/stop"
-    worker_fail=0
-    wait "$worker1" || worker_fail=1
-    wait "$worker2" || worker_fail=1
-    [ "$worker_fail" -eq 0 ] || {
-        echo "smoke FAIL: a queue worker exited non-zero" >&2
-        exit 1
-    }
-    [ "$queue_rc" -eq 0 ] || {
-        echo "smoke FAIL: the --backend=queue parent failed:" >&2
-        cat "$smoke_tmp/queue.err" >&2
-        exit 1
-    }
-    cmp "$smoke_tmp/single.out" "$smoke_tmp/queue.out" || {
-        echo "smoke FAIL: --backend=queue tables differ from the" \
-             "single-process run" >&2
-        exit 1
-    }
-
-    echo "smoke: trace workloads (pack, replay parity, queue backend)"
+    echo "smoke: trace workloads (pack, replay parity, --jobs)"
     # Pack the checked-in golden trace; text and binary must agree on
     # the content hash (their shared cache identity).
     trace_src=tests/golden/replay.trace
@@ -138,7 +96,7 @@ smoke() {
         exit 1
     }
     # Replay is bit-identical across scheduler modes and the --jobs
-    # local-worker path, exactly like synthetic workloads.
+    # fork path, exactly like synthetic workloads.
     trace_args="fig4 --trace=$smoke_tmp/replay.bwtr --threads=2"
     ./build/bwsim $trace_args --scheduler=lockstep \
         > "$smoke_tmp/trace-lock.out"
@@ -156,36 +114,10 @@ smoke() {
              "single-process run" >&2
         exit 1
     }
-    # A queue job embeds the trace records, so one worker with no
-    # access to the original file replays it bit-identically.
-    tspool="$smoke_tmp/trace-spool"
-    ./build/bwsim --worker --spool-dir="$tspool" \
-        2> "$smoke_tmp/trace-worker.err" &
-    trace_worker=$!
-    trace_queue_rc=0
-    timeout 300 ./build/bwsim $trace_args --backend=queue \
-        --spool-dir="$tspool" --cache-dir="$smoke_tmp/trace-cache" \
-        > "$smoke_tmp/trace-queue.out" 2> "$smoke_tmp/trace-queue.err" \
-        || trace_queue_rc=$?
-    : > "$tspool/stop"
-    wait "$trace_worker" || {
-        echo "smoke FAIL: the trace queue worker exited non-zero" >&2
-        exit 1
-    }
-    [ "$trace_queue_rc" -eq 0 ] || {
-        echo "smoke FAIL: the --backend=queue trace replay failed:" >&2
-        cat "$smoke_tmp/trace-queue.err" >&2
-        exit 1
-    }
-    cmp "$smoke_tmp/trace-lock.out" "$smoke_tmp/trace-queue.out" || {
-        echo "smoke FAIL: --backend=queue trace replay differs from" \
-             "the single-process run" >&2
-        exit 1
-    }
     # Warm replay of the *text* trace against the cache the *packed*
     # run just filled: content addressing must make it free.
     ./build/bwsim fig4 --trace="$trace_src" --threads=2 \
-        --cache-dir="$smoke_tmp/trace-cache" --exec-stats \
+        --cache-dir="$smoke_tmp/trace-jobs" --exec-stats \
         > "$smoke_tmp/trace-warm.out" 2> "$smoke_tmp/trace-warm.err"
     if ! grep -q 'sims=0 ' "$smoke_tmp/trace-warm.err"; then
         echo "smoke FAIL: warm trace replay re-simulated:" >&2
@@ -311,24 +243,6 @@ smoke() {
         exit 1
     }
 
-    echo "smoke: --cache-stats and --cache-max-mb eviction"
-    ./build/bwsim --cache-stats --cache-dir="$smoke_tmp/cache" \
-        > "$smoke_tmp/stats.out"
-    grep -q 'baseline' "$smoke_tmp/stats.out" || {
-        echo "smoke FAIL: --cache-stats did not report the warm" \
-             "baseline entries:" >&2
-        cat "$smoke_tmp/stats.out" >&2
-        exit 1
-    }
-    ./build/bwsim --cache-max-mb=0 --cache-dir="$smoke_tmp/cache" \
-        2> "$smoke_tmp/evict.err"
-    ./build/bwsim --cache-stats --cache-dir="$smoke_tmp/cache" \
-        > "$smoke_tmp/stats2.out"
-    grep -q ': 0 entries' "$smoke_tmp/stats2.out" || {
-        echo "smoke FAIL: --cache-max-mb=0 left entries behind:" >&2
-        cat "$smoke_tmp/stats2.out" >&2
-        exit 1
-    }
     echo "smoke: OK"
 }
 

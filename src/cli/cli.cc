@@ -2,20 +2,15 @@
 
 #include <algorithm>
 #include <chrono>
-#include <csignal>
-#include <cstdio>
 #include <cstdlib>
-#include <filesystem>
 #include <fstream>
+#include <memory>
 #include <thread>
 
-#include "common/atomic_file.hh"
 #include "common/log.hh"
 #include "core/cost_model.hh"
-#include "core/disk_cache.hh"
 #include "core/dse.hh"
 #include "core/sim_cache.hh"
-#include "core/work_queue.hh"
 #include "gpu/gpu.hh"
 #include "sim/sim_speed.hh"
 #include "sim/tick_profile.hh"
@@ -24,11 +19,6 @@
 
 #ifdef __unix__
 #include <sys/utsname.h>
-#include <sys/wait.h>
-#include <unistd.h>
-#endif
-#ifdef __linux__
-#include <sys/prctl.h>
 #endif
 
 namespace bwsim::cli
@@ -37,7 +27,8 @@ namespace bwsim::cli
 namespace
 {
 
-namespace fs = std::filesystem;
+/** Ceiling on --jobs: each job is one forked child process. */
+constexpr int kMaxJobs = 256;
 
 /**
  * Format-aware emitters: in text mode every byte matches the legacy
@@ -385,27 +376,10 @@ printUsage(std::ostream &os)
           "  --cache-dir=DIR   persistent SimCache tier: warm\n"
           "                    (profile, config) pairs load from DIR\n"
           "                    instead of re-simulating\n"
-          "  --jobs=N          fork N local work-queue workers and\n"
-          "                    send cache misses to them; the spool\n"
-          "                    is --spool-dir, else a scratch dir\n"
-          "                    under $TMPDIR removed at exit\n"
-          "  --backend=B       how cache misses execute: threads\n"
-          "                    (in-process pool, default) or queue\n"
-          "                    (spool-dir work queue drained by\n"
-          "                    bwsim --worker processes on any hosts\n"
-          "                    sharing the filesystem, plus --jobs\n"
-          "                    local ones)\n"
-          "  --spool-dir=DIR   work-queue spool directory\n"
-          "                    (--backend=queue, --jobs, --worker)\n"
-          "  --job-timeout=S   reclaim a claimed-but-abandoned spool\n"
-          "                    job after S seconds (default 300)\n"
-          "  --worker          run as a work-queue worker: claim jobs\n"
-          "                    from --spool-dir until DIR/stop exists\n"
-          "                    and the queue is drained\n"
-          "  --cache-stats     print --cache-dir entry count, bytes\n"
-          "                    and per-config breakdown\n"
-          "  --cache-max-mb=N  evict oldest --cache-dir entries until\n"
-          "                    the directory fits in N MB\n"
+          "  --jobs=N          fork up to N (<= 256) child processes\n"
+          "                    per simulation batch instead of using\n"
+          "                    threads; results come back over pipes\n"
+          "                    and only this process uses --cache-dir\n"
           "  --exec-stats      print cache/backend counters and the\n"
           "                    simulation-speed report (core-cycles,\n"
           "                    wall seconds, cycles/sec, ticked clock\n"
@@ -438,10 +412,10 @@ printUsage(std::ostream &os)
           "--perf-out as JSON.\n"
           "\n"
           "Options may also come from BWSIM_BENCHES / BWSIM_THREADS /\n"
-          "BWSIM_SHRINK / BWSIM_CACHE_DIR / BWSIM_SPOOL_DIR; flags\n"
-          "win. Several experiments in one invocation share\n"
-          "simulations through the SimCache; with --cache-dir they\n"
-          "also share them across invocations and processes.\n";
+          "BWSIM_SHRINK / BWSIM_CACHE_DIR; flags win. Several\n"
+          "experiments in one invocation share simulations through\n"
+          "the SimCache; with --cache-dir they also share them across\n"
+          "invocations.\n";
 }
 
 void
@@ -450,36 +424,6 @@ printList(std::ostream &os)
     stats::TextTable t({"experiment", "description"});
     for (const auto &e : experimentRegistry())
         t.newRow().add(e.name).add(e.title);
-    t.print(os);
-}
-
-constexpr double kMB = 1024.0 * 1024.0;
-
-/** The --cache-stats report: totals plus the per-config breakdown. */
-void
-printCacheStats(const std::string &dir, std::ostream &os)
-{
-    CacheDirStats s = scanCacheDir(dir);
-    os << csprintf("cache dir %s: %llu entries, %.2f MB", dir.c_str(),
-                   static_cast<unsigned long long>(s.entries),
-                   double(s.bytes) / kMB);
-    if (s.unreadable)
-        os << csprintf(" (+%llu unreadable files, %.2f MB)",
-                       static_cast<unsigned long long>(s.unreadable),
-                       double(s.unreadableBytes) / kMB);
-    if (s.tempFiles)
-        os << csprintf(" (+%llu .part temp files, %.2f MB)",
-                       static_cast<unsigned long long>(s.tempFiles),
-                       double(s.tempBytes) / kMB);
-    os << "\n";
-    if (s.byConfig.empty())
-        return;
-    stats::TextTable t({"config", "entries", "MB"});
-    for (const auto &g : s.byConfig) {
-        t.newRow().add(g.config);
-        t.addInt(static_cast<long long>(g.entries));
-        t.addNum(double(g.bytes) / kMB, 2);
-    }
     t.print(os);
 }
 
@@ -559,27 +503,6 @@ printExecStats(std::ostream &err)
                 double(d.nanos) / 1e9, d.avgNanos());
         }
     }
-}
-
-/** The --worker process mode: drain --spool-dir until stopped. */
-int
-runWorkerMode(const exp::ExperimentOptions &opts, std::ostream &err)
-{
-    SimCache &cache = SimCache::global();
-    cache.attachDiskTier(opts.cacheDir);
-    WorkQueueConfig cfg;
-    cfg.spoolDir = opts.spoolDir;
-    cfg.jobTimeoutSec = static_cast<double>(opts.jobTimeoutSec);
-    WorkerStats stats = runWorker(cfg, cache);
-    err << csprintf(
-        "bwsim: worker on '%s' done: jobs=%llu corrupt=%llu "
-        "sims=%llu disk-hits=%llu\n",
-        opts.spoolDir.c_str(),
-        static_cast<unsigned long long>(stats.jobsProcessed),
-        static_cast<unsigned long long>(stats.corruptJobs),
-        static_cast<unsigned long long>(cache.simsRun()),
-        static_cast<unsigned long long>(cache.diskHits()));
-    return 0;
 }
 
 /** JSON string escaping for the perf report (ASCII-safe). */
@@ -945,208 +868,30 @@ runTraceTool(const std::vector<std::string> &args, std::ostream &out,
     return 1;
 }
 
-#ifdef __unix__
-
 /**
- * The --jobs=N fan-out: N forked children, each a work-queue worker
- * draining one spool with its own disk-less SimCache. The parent is
- * the only process that touches --cache-dir: it serves warm pairs and
- * stores fresh ones while its WorkQueueBackend dispatches the misses,
- * so the tables are byte-identical to an in-process run. The spool is
- * --spool-dir (shared with any external workers) or a scratch
- * directory under $TMPDIR that is removed at the end.
+ * Run @p names in order, blank-line separated. With --jobs=N every
+ * simulation batch the SimCache cannot serve forks up to N children
+ * (ForkBackend); the parent alone reads and writes --cache-dir.
  */
-class LocalWorkers
-{
-  public:
-    LocalWorkers() = default;
-    LocalWorkers(const LocalWorkers &) = delete;
-    LocalWorkers &operator=(const LocalWorkers &) = delete;
-
-    ~LocalWorkers()
-    {
-        if (!pids.empty())
-            stop(true);
-    }
-
-    /** Fork the workers; false, with a message on @p err, on failure. */
-    bool
-    start(const exp::ExperimentOptions &opts, std::ostream &err)
-    {
-        cfg.spoolDir = opts.spoolDir;
-        cfg.jobTimeoutSec = static_cast<double>(opts.jobTimeoutSec);
-        std::error_code ec;
-        if (cfg.spoolDir.empty()) {
-            std::string tmpl = scratchSpoolDirTemplate();
-            if (!::mkdtemp(tmpl.data())) {
-                err << "bwsim: cannot create a --jobs scratch spool "
-                       "under '"
-                    << tmpl << "'\n";
-                return false;
-            }
-            cfg.spoolDir = tmpl;
-            scratch = true;
-        } else if (!fs::create_directories(cfg.spoolDir, ec) && ec) {
-            err << "bwsim: cannot create --spool-dir '" << cfg.spoolDir
-                << "': " << ec.message() << "\n";
-            return false;
-        }
-        // A stale sentinel would make the new workers exit at once.
-        fs::remove(stopPath(), ec);
-
-        // Children _exit() without flushing, but a fatal() in one
-        // would flush a copy of anything still buffered here.
-        std::fflush(nullptr);
-        [[maybe_unused]] const pid_t parent = ::getpid();
-        for (int i = 0; i < opts.jobs; ++i) {
-            const pid_t pid = ::fork();
-            if (pid < 0) {
-                err << "bwsim: fork failed for --jobs worker " << i
-                    << "\n";
-                stop(true);
-                return false;
-            }
-            if (pid == 0) {
-#ifdef __linux__
-                // A parent that dies without stopping its workers
-                // (fatal(), a signal) must not leave them polling.
-                ::prctl(PR_SET_PDEATHSIG, SIGTERM);
-                if (::getppid() != parent)
-                    ::_exit(1);
-#endif
-                try {
-                    SimCache cache;
-                    runWorker(cfg, cache);
-                } catch (...) {
-                    ::_exit(1);
-                }
-                ::_exit(0);
-            }
-            pids.push_back(pid);
-        }
-        return true;
-    }
-
-    /** Send the global SimCache's misses to these workers until stop(). */
-    void
-    install()
-    {
-        SimCache::global().setSimulationBackend(
-            std::make_shared<WorkQueueBackend>(cfg,
-                                               [this] { return alive(); }));
-    }
-
-    /**
-     * The WorkQueueBackend liveness hook: false once any worker has
-     * exited, which only a failure does while jobs are pending. The
-     * survivors are killed and the scratch spool removed first, so the
-     * caller's fatal exit leaks nothing.
-     */
-    bool
-    alive()
-    {
-        for (pid_t pid : pids) {
-            if (::waitpid(pid, nullptr, WNOHANG) != 0) {
-                stop(true);
-                return false;
-            }
-        }
-        return true;
-    }
-
-    /**
-     * Stop and reap every worker -- by SIGTERM when @p force, else by
-     * the drain-then-exit SPOOL/stop sentinel -- and remove the
-     * sentinel (and a scratch spool). Uninstalls the backend, whose
-     * hook must not outlive this object. True when every worker
-     * exited 0.
-     */
-    bool
-    stop(bool force = false)
-    {
-        SimCache::global().setSimulationBackend(nullptr);
-        // Without a sentinel the workers would never exit: kill them.
-        if (!force && !atomicWriteFile(stopPath(), ""))
-            force = true;
-        bool ok = true;
-        for (pid_t pid : pids) {
-            if (force)
-                ::kill(pid, SIGTERM);
-            int status = 0;
-            if (::waitpid(pid, &status, 0) != pid || !WIFEXITED(status) ||
-                WEXITSTATUS(status) != 0)
-                ok = false;
-        }
-        pids.clear();
-        std::error_code ec;
-        fs::remove(stopPath(), ec);
-        if (scratch)
-            fs::remove_all(cfg.spoolDir, ec);
-        return ok;
-    }
-
-  private:
-    fs::path stopPath() const { return fs::path(cfg.spoolDir) / "stop"; }
-
-    WorkQueueConfig cfg;
-    bool scratch = false;
-    std::vector<pid_t> pids;
-};
-
-#endif // __unix__
-
-/**
- * Run @p names in order, blank-line separated. With --jobs=N the
- * cache misses go to N forked local work-queue workers, forked before
- * configureExecution() so they inherit no disk tier.
- */
-int
+void
 runExperiments(const std::vector<std::string> &names,
-               const exp::ExperimentOptions &opts, std::ostream &out,
-               std::ostream &err)
+               const exp::ExperimentOptions &opts, std::ostream &out)
 {
+    exp::configureExecution(opts);
 #ifdef __unix__
-    LocalWorkers workers;
-    if (opts.jobs > 1 && !workers.start(opts, err))
-        return 1;
-    exp::configureExecution(opts);
     if (opts.jobs > 1)
-        workers.install();
-#else
-    if (opts.jobs > 1) {
-        err << "bwsim: --jobs is only supported on unix hosts\n";
-        return 1;
-    }
-    exp::configureExecution(opts);
+        SimCache::global().setSimulationBackend(
+            std::make_shared<ForkBackend>(opts.jobs));
 #endif
     for (std::size_t i = 0; i < names.size(); ++i) {
         if (i > 0)
             out << "\n";
         findExperiment(names[i])->run(opts, out);
     }
-#ifdef __unix__
-    if (opts.jobs > 1 && !workers.stop()) {
-        err << "bwsim: a --jobs worker failed\n";
-        return 1;
-    }
-#endif
-    return 0;
+    SimCache::global().setSimulationBackend(nullptr);
 }
 
 } // anonymous namespace
-
-std::string
-scratchSpoolDirTemplate()
-{
-    // Respect TMPDIR like mktemp(1)/mkstemp(3) users do; /tmp is only
-    // the fallback. Trailing slashes are trimmed so "$TMPDIR/" does
-    // not produce a double separator.
-    const char *tmpdir = std::getenv("TMPDIR");
-    std::string base = (tmpdir && *tmpdir) ? tmpdir : "/tmp";
-    while (base.size() > 1 && base.back() == '/')
-        base.pop_back();
-    return base + "/bwsim-spool-XXXXXX";
-}
 
 const std::vector<Experiment> &
 experimentRegistry()
@@ -1220,13 +965,9 @@ cliMain(int argc, const char *const *argv, std::ostream &out,
     exp::ExperimentOptions opts = exp::ExperimentOptions::fromEnv();
     std::vector<std::string> names;
     bool exec_stats = false;
-    bool backend_flag = false;
-    bool worker = false;
-    bool cache_stats = false;
     bool dump_stats = false;
     std::string config_name = "baseline";
     bool config_flag = false;
-    int cache_max_mb = -1;
     std::string perf_out = "BENCH_fig10.json";
 
     for (int i = 1; i < argc; ++i) {
@@ -1279,33 +1020,11 @@ cliMain(int argc, const char *const *argv, std::ostream &out,
         } else if (a.rfind("--jobs=", 0) == 0) {
             if (!parseIntFlag("--jobs", valueOf("--jobs="), opts.jobs))
                 return 1;
-        } else if (a.rfind("--backend=", 0) == 0) {
-            opts.backend = valueOf("--backend=");
-            backend_flag = true;
-        } else if (a.rfind("--spool-dir=", 0) == 0) {
-            opts.spoolDir = valueOf("--spool-dir=");
-        } else if (a.rfind("--job-timeout=", 0) == 0) {
-            if (!parseIntFlag("--job-timeout",
-                              valueOf("--job-timeout="),
-                              opts.jobTimeoutSec))
-                return 1;
-        } else if (a == "--worker") {
-            worker = true;
         } else if (a == "--dump-stats") {
             dump_stats = true;
         } else if (a.rfind("--config=", 0) == 0) {
             config_name = valueOf("--config=");
             config_flag = true;
-        } else if (a == "--cache-stats") {
-            cache_stats = true;
-        } else if (a.rfind("--cache-max-mb=", 0) == 0) {
-            if (!parseIntFlag("--cache-max-mb",
-                              valueOf("--cache-max-mb="), cache_max_mb))
-                return 1;
-            if (cache_max_mb < 0) {
-                err << "bwsim: --cache-max-mb must be >= 0\n";
-                return 1;
-            }
         } else if (a == "--exec-stats") {
             exec_stats = true;
         } else if (a == "--profile-ticks") {
@@ -1330,42 +1049,16 @@ cliMain(int argc, const char *const *argv, std::ostream &out,
         }
     }
 
-    if (opts.jobs < 1) {
-        err << "bwsim: --jobs must be >= 1\n";
+    if (opts.jobs < 1 || opts.jobs > kMaxJobs) {
+        err << "bwsim: --jobs must be between 1 and " << kMaxJobs << "\n";
         return 1;
     }
-    if (opts.backend != "threads" && opts.backend != "queue") {
-        err << "bwsim: --backend expects threads or queue, got '"
-            << opts.backend << "'\n";
+#ifndef __unix__
+    if (opts.jobs > 1) {
+        err << "bwsim: --jobs is only supported on unix hosts\n";
         return 1;
     }
-    if (opts.backend == "queue" && opts.spoolDir.empty()) {
-        err << "bwsim: --backend=queue requires --spool-dir\n";
-        return 1;
-    }
-    if (backend_flag && opts.backend == "threads" && opts.jobs > 1) {
-        err << "bwsim: --backend=threads contradicts --jobs=N (--jobs "
-               "runs local work-queue workers)\n";
-        return 1;
-    }
-    if (opts.jobTimeoutSec < 1) {
-        err << "bwsim: --job-timeout must be >= 1\n";
-        return 1;
-    }
-    if ((opts.backend == "queue" || opts.jobs > 1) &&
-        opts.jobTimeoutSec < 2 * kDefaultClaimHeartbeatSec) {
-        // Workers refresh their claim every kDefaultClaimHeartbeatSec;
-        // a timeout inside that window reclaims live jobs.
-        err << csprintf(
-            "bwsim: warning: --job-timeout=%d is below twice the "
-            "worker claim-heartbeat period (%.0fs); live jobs may be "
-            "reclaimed and re-simulated\n",
-            opts.jobTimeoutSec, kDefaultClaimHeartbeatSec);
-    }
-    if ((cache_stats || cache_max_mb >= 0) && opts.cacheDir.empty()) {
-        err << "bwsim: --cache-stats/--cache-max-mb need --cache-dir\n";
-        return 1;
-    }
+#endif
 
     if (config_flag && !dump_stats) {
         err << "bwsim: --config only applies to --dump-stats\n";
@@ -1378,19 +1071,14 @@ cliMain(int argc, const char *const *argv, std::ostream &out,
                    "tables)\n";
             return 1;
         }
-        if (worker || cache_stats || cache_max_mb >= 0) {
-            err << "bwsim: --dump-stats cannot be combined with "
-                   "--worker or cache housekeeping\n";
-            return 1;
-        }
         if (opts.format != exp::TableFormat::Text) {
             err << "bwsim: --dump-stats prints the raw stats tree, "
                    "not tables; --format does not apply\n";
             return 1;
         }
-        if (opts.jobs > 1 || (backend_flag && opts.backend != "threads")) {
-            err << "bwsim: --dump-stats simulates in-process; "
-                   "--jobs/--backend do not apply\n";
+        if (opts.jobs > 1) {
+            err << "bwsim: --dump-stats simulates in-process; --jobs "
+                   "does not apply\n";
             return 1;
         }
         int dump_rc = runDumpStats(opts, config_name, out, err);
@@ -1399,19 +1087,6 @@ cliMain(int argc, const char *const *argv, std::ostream &out,
         if (exec_stats)
             printExecStats(err);
         return dump_rc;
-    }
-
-    if (worker) {
-        if (!names.empty()) {
-            err << "bwsim: --worker takes no experiment names (jobs "
-                   "come from the spool)\n";
-            return 1;
-        }
-        if (opts.spoolDir.empty()) {
-            err << "bwsim: --worker requires --spool-dir\n";
-            return 1;
-        }
-        return runWorkerMode(opts, err);
     }
 
     if (!names.empty() && names[0] == "trace")
@@ -1427,8 +1102,7 @@ cliMain(int argc, const char *const *argv, std::ostream &out,
         return runPerf(perf_out, out, err);
     }
 
-    const bool housekeeping = cache_stats || cache_max_mb >= 0;
-    if (names.empty() && !housekeeping) {
+    if (names.empty()) {
         err << "bwsim: no experiment named\n";
         printUsage(err);
         return 1;
@@ -1440,26 +1114,10 @@ cliMain(int argc, const char *const *argv, std::ostream &out,
             return 1;
         }
 
-    const int rc = names.empty() ? 0 : runExperiments(names, opts, out, err);
-    if (rc == 0 && cache_stats)
-        printCacheStats(opts.cacheDir, out);
-    if (rc == 0 && cache_max_mb >= 0) {
-        EvictionReport rep = evictCacheDir(
-            opts.cacheDir,
-            static_cast<std::uint64_t>(cache_max_mb) * 1024 * 1024);
-        err << csprintf(
-            "bwsim: cache dir %s: evicted %llu entries (%.2f MB), "
-            "kept %llu (%.2f MB <= %d MB budget)\n",
-            opts.cacheDir.c_str(),
-            static_cast<unsigned long long>(rep.filesEvicted),
-            double(rep.bytesEvicted) / kMB,
-            static_cast<unsigned long long>(rep.filesKept),
-            double(rep.bytesKept) / kMB, cache_max_mb);
-    }
-
+    runExperiments(names, opts, out);
     if (exec_stats)
         printExecStats(err);
-    return rc;
+    return 0;
 }
 
 } // namespace bwsim::cli

@@ -5,21 +5,16 @@
  *
  *   bwsim fig7 fig8 --benches=bfs,spmv --threads=8 --shrink=4
  *   bwsim fig10 fig12 --cache-dir=.bwsim-cache --jobs=4
- *   bwsim fig10 --backend=queue --spool-dir=/nfs/spool
  *   bwsim fig4 --benches=bfs --format=json
  *   bwsim --dump-stats --benches=bfs --config=P-DRAM --shrink=16
- *   bwsim --worker --spool-dir=/nfs/spool --cache-dir=/nfs/cache
- *   bwsim --cache-stats --cache-max-mb=512 --cache-dir=.bwsim-cache
  *   bwsim --list
  *
  * Running several experiments in one invocation shares simulations
  * through the SimCache, so the baseline runs feeding figs. 1/4/5/7/8/9
  * happen once, not once per figure. With --cache-dir they are also
- * shared across invocations (persistent on-disk tier). Every
- * multi-process sweep goes through the work queue: --jobs=N forks N
- * local queue workers, --backend=queue uses external bwsim --worker
- * processes (plus any --jobs ones), and either way the tables are
- * byte-identical to a single-process run.
+ * shared across invocations (persistent on-disk tier). --jobs=N forks
+ * up to N children per simulation batch (ForkBackend), and the tables
+ * are byte-identical to a single-process run.
  */
 
 #ifndef BWSIM_CLI_CLI_HH
@@ -57,13 +52,6 @@ const Experiment *findExperiment(const std::string &name);
 int runExperiment(const std::string &name,
                   const exp::ExperimentOptions &opts, std::ostream &out,
                   std::ostream &err);
-
-/**
- * mkdtemp(3) template for the scratch spool a --jobs run creates when
- * no --spool-dir is given: "$TMPDIR/bwsim-spool-XXXXXX", falling back
- * to /tmp when TMPDIR is unset or empty.
- */
-std::string scratchSpoolDirTemplate();
 
 /** Full argv-driven entry point behind main(). */
 int cliMain(int argc, const char *const *argv, std::ostream &out,

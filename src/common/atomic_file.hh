@@ -1,16 +1,11 @@
 /**
  * @file
- * Crash-safe file publishing shared by every on-disk byte format:
- * the persistent SimCache tier and the work-queue job/reply spool.
+ * Crash-safe file publishing for the persistent SimCache tier.
  * Writes go to a unique tmp-<pid>-<seq>.part file in the target
  * directory, then rename(2) into place, so readers observe either
  * the previous file or the complete new one -- never a partial
- * write. Keeping one implementation means a durability fix (say, an
- * fsync before the rename) reaches every format at once.
- *
- * A crashed writer can orphan a .part file; cache-dir housekeeping
- * (core/disk_cache.cc) sweeps stale ones, keyed off this naming
- * convention.
+ * write. A crashed writer can orphan a .part file; no reader looks
+ * at that name, so it is inert.
  */
 
 #ifndef BWSIM_COMMON_ATOMIC_FILE_HH
@@ -32,14 +27,6 @@
 
 namespace bwsim
 {
-
-/** Leftover temp file from a crashed atomic write? */
-inline bool
-isTempFileName(const std::string &name)
-{
-    return name.size() > 5 &&
-           name.compare(name.size() - 5, 5, ".part") == 0;
-}
 
 /**
  * Whole file as bytes; false when unreadable (e.g. concurrently

@@ -5,16 +5,16 @@
  * Free-form string fields are length-prefixed so a '|' inside one
  * cannot collide with the field delimiter. Both cacheKey()
  * implementations share this builder, so the key format is uniform
- * across the in-memory tier, the on-disk tier (core/disk_cache.hh)
- * and the work-queue spool, all of which derive file names from it.
+ * across the in-memory tier and the on-disk tier
+ * (core/disk_cache.hh), which derives its file names from it.
  *
  * Each field is formatted with std::to_chars into a stack buffer and
  * appended to the one reserved key, so building a key costs no printf
  * and no temporary strings. The bytes are those of the historical
  * printf/std::to_string format -- integers in decimal, doubles as
  * "%.17g", which the standard defines to_chars(general, 17) to be --
- * and must stay so: a drift would orphan every persisted cache entry
- * and spool file. tests/golden/cache_keys.txt pins them.
+ * and must stay so: a drift would orphan every persisted cache
+ * entry. tests/golden/cache_keys.txt pins them.
  */
 
 #ifndef BWSIM_COMMON_KEY_BUILDER_HH

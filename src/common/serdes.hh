@@ -2,8 +2,9 @@
  * @file
  * Minimal binary serialization primitives: a bounds-checked
  * little-endian ByteWriter/ByteReader pair plus FNV-1a hashing.
- * Shared by the on-disk SimCache tier and the work-queue job and
- * reply files so every persisted SimResult uses one byte format.
+ * Shared by the on-disk SimCache tier, the --jobs result pipes and
+ * packed traces, so every SimResult crosses a boundary in one byte
+ * format.
  *
  * The format is deliberately simple: fixed-width little-endian
  * integers, doubles as their IEEE-754 bit pattern, strings and blobs
@@ -24,7 +25,7 @@
 namespace bwsim
 {
 
-/** FNV-1a 64-bit hash; content checksums and shard assignment. */
+/** FNV-1a 64-bit hash; content checksums and entry file names. */
 inline std::uint64_t
 fnv1a64(const void *data, std::size_t len)
 {
@@ -199,8 +200,8 @@ class ByteReader
 /**
  * Wrap @p payload in a self-validating envelope: magic, format
  * version, FNV-1a checksum of the payload, then the length-prefixed
- * payload itself. The shape mirrors the on-disk SimCache header, and
- * the work-queue job/reply files use it directly.
+ * payload itself. The shape mirrors the on-disk SimCache header;
+ * packed trace files use it directly.
  */
 inline std::string
 frameBlob(std::uint32_t magic, std::uint32_t version,

@@ -4,8 +4,7 @@
  * the experiments need" and "how do they get executed". The seed's
  * hardwired thread pool is now one implementation (ThreadedBackend);
  * the memoizing SimCache front is another (CachingBackend); the
- * multi-process work queue is a third (WorkQueueBackend, see
- * src/core/work_queue.hh).
+ * --jobs process fan-out is a third (ForkBackend).
  */
 
 #ifndef BWSIM_CORE_BACKEND_HH
@@ -80,6 +79,29 @@ class CachingBackend : public ExecutionBackend
   private:
     SimCache &cache;
 };
+
+#ifdef __unix__
+/**
+ * The --jobs=N fan-out: every runAll() forks min(N, specs) children,
+ * which inherit the batch in memory, claim spec indices one at a time
+ * from a shared counter, and send each result back over their own
+ * pipe. @p threads is ignored: each child runs one simulation at a
+ * time. A child that dies fails the run with a fatal(), never a hang.
+ */
+class ForkBackend : public ExecutionBackend
+{
+  public:
+    explicit ForkBackend(int max_children) : maxChildren(max_children) {}
+
+    std::string name() const override { return "fork"; }
+
+    std::vector<SimResult> runAll(const std::vector<RunSpec> &specs,
+                                  int threads = 0) override;
+
+  private:
+    int maxChildren;
+};
+#endif // __unix__
 
 } // namespace bwsim
 

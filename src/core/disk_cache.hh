@@ -3,8 +3,7 @@
  * DiskSimCache: the persistent on-disk tier behind SimCache, keyed by
  * the same cacheKey() strings as the in-memory tier. One file per
  * (profile, config) pair under a --cache-dir directory, so repeated
- * driver invocations -- and the shard workers of a multi-process
- * sweep sharing one directory -- skip warm simulations entirely.
+ * driver invocations skip warm simulations entirely.
  *
  * File format (common/serdes.hh, little-endian):
  *
@@ -32,7 +31,6 @@
 #include <atomic>
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "gpu/sim_result.hh"
 
@@ -84,58 +82,15 @@ class DiskSimCache
     mutable std::atomic<std::uint64_t> storeCount{0};
 };
 
-/** @name Cache-dir housekeeping (bwsim --cache-stats / --cache-max-mb) */
-/**@{*/
-
-/** Aggregate of one cache directory's sc-*.bin entry files. */
+/** Header-valid sc-*.bin entry files of one cache directory. */
 struct CacheDirStats
 {
-    std::uint64_t entries = 0; ///< readable entry files
+    std::uint64_t entries = 0; ///< entry files with a readable header
     std::uint64_t bytes = 0;   ///< their total size
-    /** Entry files whose header does not parse (foreign format or
-     *  corruption); counted separately, sizes included. */
-    std::uint64_t unreadable = 0;
-    std::uint64_t unreadableBytes = 0;
-    /** Leftover tmp-*.part files from crashed writers; eviction
-     *  sweeps them once they outlive the writer grace period. */
-    std::uint64_t tempFiles = 0;
-    std::uint64_t tempBytes = 0;
-
-    /** Per-config breakdown: one row per GpuConfig name found in the
-     *  stored keys. Configs map onto the paper's experiments
-     *  (baseline -> figs 1/4/5/7-9, fixed-N -> fig 3, L1/L2/... ->
-     *  fig 10, 16+48/... -> fig 12, P-inf/P-DRAM -> tab 2). */
-    struct Group
-    {
-        std::string config;
-        std::uint64_t entries = 0;
-        std::uint64_t bytes = 0;
-    };
-    /** Sorted by bytes descending, then name. */
-    std::vector<Group> byConfig;
 };
 
 /** Scan @p dir (headers only, checksums not verified). */
 CacheDirStats scanCacheDir(const std::string &dir);
-
-/** What evictCacheDir() removed and what survives. */
-struct EvictionReport
-{
-    std::uint64_t filesEvicted = 0;
-    std::uint64_t bytesEvicted = 0;
-    std::uint64_t filesKept = 0;
-    std::uint64_t bytesKept = 0;
-};
-
-/**
- * Size-bound @p dir to @p max_bytes by deleting sc-*.bin entry files
- * oldest-mtime-first (the atomic publish makes mtime the
- * last-written time, our LRU proxy) until the survivors fit. A
- * deleted entry is simply a future cache miss.
- */
-EvictionReport evictCacheDir(const std::string &dir,
-                             std::uint64_t max_bytes);
-/**@}*/
 
 } // namespace bwsim
 

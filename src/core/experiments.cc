@@ -9,7 +9,6 @@
 #include "common/log.hh"
 #include "core/cost_model.hh"
 #include "core/sim_cache.hh"
-#include "core/work_queue.hh"
 #include "workloads/trace_source.hh"
 #include "smcore/stall.hh"
 #include "stats/occupancy_hist.hh"
@@ -245,8 +244,6 @@ ExperimentOptions::fromEnv()
     }
     if (const char *d = std::getenv("BWSIM_CACHE_DIR"))
         o.cacheDir = d;
-    if (const char *s = std::getenv("BWSIM_SPOOL_DIR"))
-        o.spoolDir = s;
     return o;
 }
 
@@ -285,19 +282,7 @@ configureExecution(const ExperimentOptions &opts)
 {
     SimCache &cache = SimCache::global();
     cache.attachDiskTier(opts.cacheDir);
-    if (opts.backend == "queue" && !opts.spoolDir.empty()) {
-        // Cache misses become spool job files drained by external
-        // bwsim --worker processes; everything above the SimCache is
-        // unchanged, so the merged tables are byte-identical to an
-        // in-process run.
-        WorkQueueConfig cfg;
-        cfg.spoolDir = opts.spoolDir;
-        cfg.jobTimeoutSec = static_cast<double>(opts.jobTimeoutSec);
-        cache.setSimulationBackend(
-            std::make_shared<WorkQueueBackend>(std::move(cfg)));
-    } else {
-        cache.setSimulationBackend(nullptr); // default threaded pool
-    }
+    cache.setSimulationBackend(nullptr); // default threaded pool
 }
 
 std::vector<WorkloadSpec>

@@ -47,22 +47,15 @@ struct ExperimentOptions
     int shrink = 1;
     /** Persistent SimCache tier directory; empty = memory only. */
     std::string cacheDir;
-    /** Local work-queue workers the CLI forks (1 = none). */
+    /** Child processes the CLI forks per simulation batch
+     *  (1 = none; see ForkBackend). */
     int jobs = 1;
-    /** How cache misses execute: "threads" (in-process pool) or
-     *  "queue" (spool-dir work queue drained by bwsim --worker
-     *  processes). */
-    std::string backend = "threads";
-    /** Work-queue spool directory (backend == "queue" or jobs > 1). */
-    std::string spoolDir;
-    /** Claimed-but-abandoned jobs are reclaimed after this long. */
-    int jobTimeoutSec = 300;
     /** Table rendering for the CLI emitters. */
     TableFormat format = TableFormat::Text;
 
     /**
      * Read BWSIM_BENCHES / BWSIM_THREADS / BWSIM_SHRINK /
-     * BWSIM_CACHE_DIR / BWSIM_SPOOL_DIR. Malformed integers are
+     * BWSIM_CACHE_DIR. Malformed integers are
      * rejected with the same strict fatal() the CLI flags use, never
      * silently defaulted.
      */
@@ -110,9 +103,9 @@ void setExecutionBackend(std::unique_ptr<ExecutionBackend> backend);
 
 /**
  * Apply the execution-related knobs of @p opts to the process-wide
- * SimCache: attach/detach the on-disk tier (opts.cacheDir) and pick
- * the simulation backend (opts.backend). Idempotent; called by the
- * CLI before running each batch of experiments.
+ * SimCache: attach/detach the on-disk tier (opts.cacheDir) and restore
+ * the default in-process simulation backend. Idempotent; called by
+ * the CLI before running each batch of experiments.
  */
 void configureExecution(const ExperimentOptions &opts);
 

@@ -84,8 +84,8 @@ class SimCache
     /**
      * The full identity of one simulation: the workload key, a
      * newline, then the config key. Disk-tier entry names and
-     * headers and work-queue job and reply names all derive from it,
-     * so its bytes are pinned (tests/golden/cache_keys.txt).
+     * headers derive from it, so its bytes are pinned
+     * (tests/golden/cache_keys.txt).
      */
     static std::string keyOf(const WorkloadSpec &workload,
                              const GpuConfig &config);

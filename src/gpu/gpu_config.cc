@@ -518,10 +518,9 @@ configPresetNames()
 // (and the size here updated). Gated to one ABI (new-ABI libstdc++ on
 // x86-64) so other platforms with different padding still build.
 static_assert(sizeof(GpuConfig) == 328,
-              "GpuConfig changed: add the new field to cacheKey() and "
-              "serializeConfig()/deserializeConfig() (bumping "
-              "gpuConfigSerdesVersion), or the SimCache conflates "
-              "configs differing only in it");
+              "GpuConfig changed: add the new field to cacheKey(), or "
+              "the SimCache conflates configs differing only in it, "
+              "and update this size");
 #endif
 
 std::string
@@ -616,167 +615,6 @@ std::size_t
 GpuConfig::Hash::operator()(const GpuConfig &c) const
 {
     return std::hash<std::string>{}(c.cacheKey());
-}
-
-void
-serializeConfig(ByteWriter &w, const GpuConfig &c)
-{
-    // Field order here *is* the format (cacheKey() order); bump
-    // gpuConfigSerdesVersion with any change.
-    w.str(c.name);
-    w.f64(c.coreClockMhz);
-    w.f64(c.icntClockMhz);
-    w.f64(c.dramClockMhz);
-    w.u64(static_cast<std::uint64_t>(c.numCores));
-    w.u64(static_cast<std::uint64_t>(c.maxWarpsPerCore));
-    w.u64(static_cast<std::uint64_t>(c.numSchedulers));
-    w.u64(static_cast<std::uint64_t>(c.ibufferEntries));
-    w.u64(static_cast<std::uint64_t>(c.fetchWidth));
-    w.u64(static_cast<std::uint64_t>(c.memPipelineWidth));
-    w.u64(static_cast<std::uint64_t>(c.aluIssuePerCycle));
-    w.u64(static_cast<std::uint64_t>(c.aluInflightCap));
-    w.u64(static_cast<std::uint64_t>(c.sfuInflightCap));
-    w.u8(static_cast<std::uint8_t>(c.schedPolicy));
-    w.u64(c.l1dSizeBytes);
-    w.u32(c.l1dAssoc);
-    w.u32(c.lineBytes);
-    w.u32(c.l1dMshrEntries);
-    w.u32(c.l1dMshrMerge);
-    w.u32(c.l1dMissQueue);
-    w.u32(c.l1dHitLatency);
-    w.u64(c.l1iSizeBytes);
-    w.u32(c.l1iAssoc);
-    w.u32(c.l1iMshrEntries);
-    w.u32(c.l1iMissQueue);
-    w.u32(c.reqFlitBytes);
-    w.u32(c.replyFlitBytes);
-    w.u32(c.injQueuePackets);
-    w.u32(c.coreRespFifo);
-    w.u32(c.reqEjQueuePackets);
-    w.u32(c.icntTransitLatency);
-    w.u32(c.numPartitions);
-    w.u32(c.l2BanksPerPartition);
-    w.u64(c.l2TotalSizeBytes);
-    w.u32(c.l2Assoc);
-    w.u32(c.l2MshrEntries);
-    w.u32(c.l2MshrMerge);
-    w.u32(c.l2MissQueue);
-    w.u32(c.l2RespQueue);
-    w.u32(c.l2AccessQueue);
-    w.u32(c.l2PortBytes);
-    w.u32(c.l2HitLatency);
-    w.u32(c.ropLatency);
-    w.u32(c.dramTiming.tCCD);
-    w.u32(c.dramTiming.tRRD);
-    w.u32(c.dramTiming.tRCD);
-    w.u32(c.dramTiming.tRAS);
-    w.u32(c.dramTiming.tRP);
-    w.u32(c.dramTiming.tRC);
-    w.u32(c.dramTiming.CL);
-    w.u32(c.dramTiming.WL);
-    w.u32(c.dramTiming.tCDLR);
-    w.u32(c.dramTiming.tWR);
-    w.u32(c.dramBanks);
-    w.u32(c.dramRowBytes);
-    w.u32(c.dramBusBytesPerCycle);
-    w.u32(c.dramSchedQueue);
-    w.u32(c.dramReturnQueue);
-    w.u32(c.dramReturnPipeLatency);
-    w.u8(c.l1BypassReads ? 1 : 0);
-    w.u32(c.sectorBytes);
-    w.u8(static_cast<std::uint8_t>(c.l2Interleave));
-    w.u8(static_cast<std::uint8_t>(c.mode));
-    w.u32(c.fixedL1MissLatency);
-    w.u32(c.perfectL2Latency);
-    w.u32(c.perfectDramLatency);
-    w.u32(c.idealDramLatency);
-    w.u64(c.maxCoreCycles);
-}
-
-bool
-deserializeConfig(ByteReader &r, GpuConfig &out)
-{
-    out.name = r.str();
-    out.coreClockMhz = r.f64();
-    out.icntClockMhz = r.f64();
-    out.dramClockMhz = r.f64();
-    out.numCores = static_cast<int>(r.u64());
-    out.maxWarpsPerCore = static_cast<int>(r.u64());
-    out.numSchedulers = static_cast<int>(r.u64());
-    out.ibufferEntries = static_cast<int>(r.u64());
-    out.fetchWidth = static_cast<int>(r.u64());
-    out.memPipelineWidth = static_cast<int>(r.u64());
-    out.aluIssuePerCycle = static_cast<int>(r.u64());
-    out.aluInflightCap = static_cast<int>(r.u64());
-    out.sfuInflightCap = static_cast<int>(r.u64());
-    const std::uint8_t sched = r.u8();
-    if (sched > static_cast<std::uint8_t>(SchedPolicy::Lrr))
-        return false;
-    out.schedPolicy = static_cast<SchedPolicy>(sched);
-    out.l1dSizeBytes = r.u64();
-    out.l1dAssoc = r.u32();
-    out.lineBytes = r.u32();
-    out.l1dMshrEntries = r.u32();
-    out.l1dMshrMerge = r.u32();
-    out.l1dMissQueue = r.u32();
-    out.l1dHitLatency = r.u32();
-    out.l1iSizeBytes = r.u64();
-    out.l1iAssoc = r.u32();
-    out.l1iMshrEntries = r.u32();
-    out.l1iMissQueue = r.u32();
-    out.reqFlitBytes = r.u32();
-    out.replyFlitBytes = r.u32();
-    out.injQueuePackets = r.u32();
-    out.coreRespFifo = r.u32();
-    out.reqEjQueuePackets = r.u32();
-    out.icntTransitLatency = r.u32();
-    out.numPartitions = r.u32();
-    out.l2BanksPerPartition = r.u32();
-    out.l2TotalSizeBytes = r.u64();
-    out.l2Assoc = r.u32();
-    out.l2MshrEntries = r.u32();
-    out.l2MshrMerge = r.u32();
-    out.l2MissQueue = r.u32();
-    out.l2RespQueue = r.u32();
-    out.l2AccessQueue = r.u32();
-    out.l2PortBytes = r.u32();
-    out.l2HitLatency = r.u32();
-    out.ropLatency = r.u32();
-    out.dramTiming.tCCD = r.u32();
-    out.dramTiming.tRRD = r.u32();
-    out.dramTiming.tRCD = r.u32();
-    out.dramTiming.tRAS = r.u32();
-    out.dramTiming.tRP = r.u32();
-    out.dramTiming.tRC = r.u32();
-    out.dramTiming.CL = r.u32();
-    out.dramTiming.WL = r.u32();
-    out.dramTiming.tCDLR = r.u32();
-    out.dramTiming.tWR = r.u32();
-    out.dramBanks = r.u32();
-    out.dramRowBytes = r.u32();
-    out.dramBusBytesPerCycle = r.u32();
-    out.dramSchedQueue = r.u32();
-    out.dramReturnQueue = r.u32();
-    out.dramReturnPipeLatency = r.u32();
-    const std::uint8_t bypass = r.u8();
-    if (bypass > 1)
-        return false;
-    out.l1BypassReads = bypass != 0;
-    out.sectorBytes = r.u32();
-    const std::uint8_t interleave = r.u8();
-    if (interleave > static_cast<std::uint8_t>(L2Interleave::BankFirst))
-        return false;
-    out.l2Interleave = static_cast<L2Interleave>(interleave);
-    const std::uint8_t mode = r.u8();
-    if (mode > static_cast<std::uint8_t>(MemoryMode::FixedL1Lat))
-        return false;
-    out.mode = static_cast<MemoryMode>(mode);
-    out.fixedL1MissLatency = r.u32();
-    out.perfectL2Latency = r.u32();
-    out.perfectDramLatency = r.u32();
-    out.idealDramLatency = r.u32();
-    out.maxCoreCycles = r.u64();
-    return r.ok();
 }
 
 } // namespace bwsim

@@ -26,7 +26,6 @@
 #include <string>
 
 #include "cache/cache.hh"
-#include "common/serdes.hh"
 #include "dram/dram_timing.hh"
 #include "dram/memory_partition.hh"
 #include "icnt/crossbar.hh"
@@ -242,23 +241,6 @@ bool findConfigPreset(const std::string &name, GpuConfig &out);
 
 /** Every accepted preset name, for error messages ("fixed-<N>" last). */
 std::vector<std::string> configPresetNames();
-
-/**
- * Version of the serialized GpuConfig layout. Bump it whenever
- * serializeConfig()/deserializeConfig() change shape: the work-queue
- * job files embed it and reject jobs written by a different layout.
- */
-constexpr std::uint32_t gpuConfigSerdesVersion = 2;
-
-/** Append every GpuConfig field to @p w (see common/serdes.hh). */
-void serializeConfig(ByteWriter &w, const GpuConfig &c);
-
-/**
- * Inverse of serializeConfig(). Returns false -- leaving @p out in an
- * unspecified state -- on truncated input or out-of-range enum
- * values.
- */
-bool deserializeConfig(ByteReader &r, GpuConfig &out);
 
 } // namespace bwsim
 

@@ -30,7 +30,6 @@
 #include <string>
 #include <vector>
 
-#include "common/serdes.hh"
 #include "common/types.hh"
 
 namespace bwsim
@@ -116,23 +115,6 @@ const BenchmarkProfile *findBenchmark(const std::string &name);
 
 /** Small, fast profiles used by unit and integration tests. */
 BenchmarkProfile makeTestProfile(const std::string &name);
-
-/**
- * Version of the serialized BenchmarkProfile layout. Bump it whenever
- * serializeProfile()/deserializeProfile() change shape: the
- * work-queue job files embed it and reject jobs written by a
- * different layout.
- */
-constexpr std::uint32_t profileSerdesVersion = 1;
-
-/** Append every BenchmarkProfile field to @p w. */
-void serializeProfile(ByteWriter &w, const BenchmarkProfile &p);
-
-/**
- * Inverse of serializeProfile(). Returns false -- leaving @p out in
- * an unspecified state -- on truncated input.
- */
-bool deserializeProfile(ByteReader &r, BenchmarkProfile &out);
 
 } // namespace bwsim
 

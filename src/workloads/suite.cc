@@ -357,9 +357,7 @@ makeTestProfile(const std::string &name)
 // src/gpu/gpu_config.cc.
 static_assert(sizeof(BenchmarkProfile) == 240,
               "BenchmarkProfile changed: consider the new field for "
-              "cacheKey(), add it to serializeProfile()/"
-              "deserializeProfile() (bumping profileSerdesVersion), "
-              "and update this size");
+              "cacheKey() and update this size");
 #endif
 
 std::string
@@ -408,78 +406,6 @@ bool
 BenchmarkProfile::operator==(const BenchmarkProfile &o) const
 {
     return cacheKey() == o.cacheKey();
-}
-
-void
-serializeProfile(ByteWriter &w, const BenchmarkProfile &p)
-{
-    // Field order here *is* the format (cacheKey() order, plus the
-    // report-only paper reference values); bump profileSerdesVersion
-    // with any change.
-    w.str(p.name);
-    w.str(p.suite);
-    w.u64(static_cast<std::uint64_t>(p.numCtas));
-    w.u64(static_cast<std::uint64_t>(p.warpsPerCta));
-    w.u64(static_cast<std::uint64_t>(p.maxCtasPerCore));
-    w.u64(static_cast<std::uint64_t>(p.instsPerWarp));
-    w.f64(p.memFraction);
-    w.f64(p.storeFraction);
-    w.f64(p.sfuFraction);
-    w.u64(static_cast<std::uint64_t>(p.ilpDistance));
-    w.u32(p.aluLatency);
-    w.u32(p.sfuLatency);
-    w.u64(static_cast<std::uint64_t>(p.minAccessesPerInst));
-    w.u64(static_cast<std::uint64_t>(p.maxAccessesPerInst));
-    w.f64(p.pHot);
-    w.f64(p.pTile);
-    w.f64(p.pShared);
-    w.f64(p.pRandom);
-    w.u64(p.hotBytes);
-    w.u64(p.tileBytes);
-    w.u64(p.tileWindowBytes);
-    w.u64(static_cast<std::uint64_t>(p.tileWindowAdvance));
-    w.u64(p.sharedBytes);
-    w.u64(p.randomBytes);
-    w.u32(p.storeBytes);
-    w.u64(static_cast<std::uint64_t>(p.loopInsts));
-    w.u64(p.seed);
-    w.f64(p.paperPinf);
-    w.f64(p.paperPdram);
-}
-
-bool
-deserializeProfile(ByteReader &r, BenchmarkProfile &out)
-{
-    out.name = r.str();
-    out.suite = r.str();
-    out.numCtas = static_cast<int>(r.u64());
-    out.warpsPerCta = static_cast<int>(r.u64());
-    out.maxCtasPerCore = static_cast<int>(r.u64());
-    out.instsPerWarp = static_cast<int>(r.u64());
-    out.memFraction = r.f64();
-    out.storeFraction = r.f64();
-    out.sfuFraction = r.f64();
-    out.ilpDistance = static_cast<int>(r.u64());
-    out.aluLatency = r.u32();
-    out.sfuLatency = r.u32();
-    out.minAccessesPerInst = static_cast<int>(r.u64());
-    out.maxAccessesPerInst = static_cast<int>(r.u64());
-    out.pHot = r.f64();
-    out.pTile = r.f64();
-    out.pShared = r.f64();
-    out.pRandom = r.f64();
-    out.hotBytes = r.u64();
-    out.tileBytes = r.u64();
-    out.tileWindowBytes = r.u64();
-    out.tileWindowAdvance = static_cast<int>(r.u64());
-    out.sharedBytes = r.u64();
-    out.randomBytes = r.u64();
-    out.storeBytes = r.u32();
-    out.loopInsts = static_cast<int>(r.u64());
-    out.seed = r.u64();
-    out.paperPinf = r.f64();
-    out.paperPdram = r.f64();
-    return r.ok();
 }
 
 } // namespace bwsim

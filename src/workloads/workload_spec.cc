@@ -1,6 +1,7 @@
 #include "workloads/workload_spec.hh"
 
 #include <algorithm>
+#include <limits>
 
 #include "common/key_builder.hh"
 #include "common/log.hh"
@@ -113,7 +114,8 @@ makeGeneratorWorkload(const GeneratorParams &gen, const std::string &name)
 namespace
 {
 
-/** Parse "64", "8k", "2m", "1g" (case-insensitive suffixes). */
+/** Parse "64", "8k", "2m", "1g" (case-insensitive suffixes); false
+ *  on anything else, including a value that overflows 64 bits. */
 bool
 parseSizeArg(const std::string &s, std::uint64_t &out)
 {
@@ -132,12 +134,18 @@ parseSizeArg(const std::string &s, std::uint64_t &out)
         digits.pop_back();
     if (digits.empty())
         return false;
+    constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
     std::uint64_t v = 0;
     for (char c : digits) {
         if (c < '0' || c > '9')
             return false;
-        v = v * 10 + static_cast<std::uint64_t>(c - '0');
+        const auto digit = static_cast<std::uint64_t>(c - '0');
+        if (v > (kMax - digit) / 10)
+            return false;
+        v = v * 10 + digit;
     }
+    if (v > kMax / mult)
+        return false;
     out = v * mult;
     return true;
 }
@@ -168,8 +176,11 @@ parseGeneratorForm(const std::string &form, WorkloadSpec &out)
                   parts[1].c_str());
         if (parts.size() > 2) {
             std::uint64_t insts = 0;
-            if (!parseSizeArg(parts[2], insts) || insts == 0)
-                fatal("malformed pchase insts '%s'", parts[2].c_str());
+            if (!parseSizeArg(parts[2], insts) || insts == 0 ||
+                insts > static_cast<std::uint64_t>(
+                            std::numeric_limits<int>::max()))
+                fatal("malformed pchase insts '%s' (want 1 to %d)",
+                      parts[2].c_str(), std::numeric_limits<int>::max());
             gen.insts = static_cast<int>(insts);
         }
         if (parts.size() > 3)
@@ -210,91 +221,6 @@ workloadKeyTag(const WorkloadSpec &spec)
 {
     return csprintf("%016llx", static_cast<unsigned long long>(
                                    fnv1a64(spec.cacheKey())));
-}
-
-void
-serializeWorkload(ByteWriter &w, const WorkloadSpec &spec)
-{
-    w.u8(static_cast<std::uint8_t>(spec.kind));
-    serializeProfile(w, spec.profile);
-    switch (spec.kind) {
-    case WorkloadKind::Synthetic:
-        break;
-    case WorkloadKind::Trace: {
-        bwsim_assert(spec.trace != nullptr,
-                     "serializeWorkload: trace spec without trace data");
-        const TraceData &t = *spec.trace;
-        w.str(t.sourceName);
-        w.u8(t.ctaTagged ? 1 : 0);
-        w.u64(t.contentHash);
-        w.u64(t.records.size());
-        w.str(canonicalTraceBytes(t));
-        break;
-    }
-    case WorkloadKind::Generator:
-        w.u8(static_cast<std::uint8_t>(spec.gen.kind));
-        w.u64(spec.gen.regionBytes);
-        w.u64(spec.gen.strideBytes);
-        w.u32(static_cast<std::uint32_t>(spec.gen.insts));
-        break;
-    }
-}
-
-bool
-deserializeWorkload(ByteReader &r, WorkloadSpec &out)
-{
-    const std::uint8_t kind = r.u8();
-    if (!r.ok() || kind > static_cast<std::uint8_t>(WorkloadKind::Generator))
-        return false;
-    out = WorkloadSpec();
-    out.kind = static_cast<WorkloadKind>(kind);
-    if (!deserializeProfile(r, out.profile))
-        return false;
-    switch (out.kind) {
-    case WorkloadKind::Synthetic:
-        return true;
-    case WorkloadKind::Trace: {
-        auto t = std::make_shared<TraceData>();
-        t->sourceName = r.str();
-        t->ctaTagged = r.u8() != 0;
-        const std::uint64_t stored_hash = r.u64();
-        const std::uint64_t count = r.u64();
-        const std::string canon = r.str();
-        // Canonical records are fixed-width: u8 op + u64 addr + u32 cta.
-        constexpr std::size_t rec_bytes = 13;
-        if (!r.ok() || canon.size() != count * rec_bytes)
-            return false;
-        t->records.resize(count);
-        ByteReader rr(canon);
-        for (std::uint64_t i = 0; i < count; ++i) {
-            TraceRecord &rec = t->records[i];
-            const std::uint8_t op = rr.u8();
-            if (op > 1)
-                return false;
-            rec.op = op ? Op::Store : Op::Load;
-            rec.addr = rr.u64();
-            rec.cta = static_cast<std::int32_t>(rr.u32() - 1u);
-        }
-        sealTrace(*t);
-        // The frame checksum guards the bytes; this guards the
-        // semantics -- a job claiming one trace must contain it.
-        if (t->contentHash != stored_hash)
-            return false;
-        out.trace = std::move(t);
-        return true;
-    }
-    case WorkloadKind::Generator: {
-        const std::uint8_t gk = r.u8();
-        if (!r.ok() || gk > static_cast<std::uint8_t>(GenKind::Stride))
-            return false;
-        out.gen.kind = static_cast<GenKind>(gk);
-        out.gen.regionBytes = r.u64();
-        out.gen.strideBytes = r.u64();
-        out.gen.insts = static_cast<int>(r.u32());
-        return r.ok();
-    }
-    }
-    return false;
 }
 
 std::unique_ptr<TraceCursor>

@@ -3,8 +3,8 @@
  * WorkloadSpec: the pluggable workload identity behind every
  * simulation. Historically the simulator only ran synthetic
  * BenchmarkProfiles, and the (profile, config) pair was hard-wired
- * through SimCache keys, the disk-cache header and the work-queue
- * wire format. A WorkloadSpec is a tagged union over three sources:
+ * through SimCache keys and the disk-cache header. A WorkloadSpec is
+ * a tagged union over three sources:
  *
  *   Synthetic -- a BenchmarkProfile, exactly as before. The cache key
  *                degrades byte-for-byte to profile.cacheKey(), so
@@ -115,7 +115,7 @@ struct WorkloadSpec
     const std::string &name() const { return profile.name; }
 
     /**
-     * Stable SimCache / work-queue identity. Synthetic specs return
+     * Stable SimCache identity. Synthetic specs return
      * profile.cacheKey() unchanged; Trace keys hash content, not file
      * names, so a moved or repacked trace still hits the cache.
      */
@@ -161,27 +161,6 @@ std::string workloadFormsHelp();
  *  Sweep tables and perf reports record it alongside the display
  *  name so mixed trace/synthetic sweeps stay unambiguous. */
 std::string workloadKeyTag(const WorkloadSpec &spec);
-
-/**
- * Version of the serialized WorkloadSpec envelope. Bump it whenever
- * serializeWorkload()/deserializeWorkload() change shape: work-queue
- * job files embed it and reject jobs written by a different layout.
- */
-constexpr std::uint32_t workloadSerdesVersion = 1;
-
-/**
- * Append the whole spec to @p w -- including trace records, so a
- * queue worker on another host can replay a trace job with no access
- * to the original file.
- */
-void serializeWorkload(ByteWriter &w, const WorkloadSpec &spec);
-
-/**
- * Inverse of serializeWorkload(). False on truncated input, an
- * unknown kind tag, or a trace whose recomputed content hash does not
- * match the stored one (corruption the frame checksum cannot see).
- */
-bool deserializeWorkload(ByteReader &r, WorkloadSpec &out);
 
 /**
  * Build the instruction stream of one warp of @p spec -- the single

@@ -1,16 +1,15 @@
 /**
  * @file
  * Cache-key byte stability. Every persisted name derives from a
- * cacheKey() string: disk-tier entry files (sc-<fnv1a64(key)>.bin),
- * the key stored in each entry header, and the work-queue job and
- * reply names. A formatting drift in KeyBuilder would pass every
- * equality test while silently orphaning every existing cache dir
- * and spool, so the exact bytes are pinned here:
+ * cacheKey() string: disk-tier entry files (sc-<fnv1a64(key)>.bin)
+ * and the key stored in each entry header. A formatting drift in
+ * KeyBuilder would pass every equality test while silently orphaning
+ * every existing cache dir, so the exact bytes are pinned here:
  *
  *  - tests/golden/cache_keys.txt holds the keys of the config
  *    presets, every suite profile at two shrink factors, the
- *    generator forms and the golden replay trace, plus the entry,
- *    job and reply file names of a few (workload, config) pairs.
+ *    generator forms and the golden replay trace, plus the entry
+ *    file names of a few (workload, config) pairs.
  *    Reblessing it (BWSIM_REGEN_GOLDEN=1 ./build/test_cache_keys)
  *    orphans every user's cache dir: do it only together with a
  *    deliberate cache format break.
@@ -39,7 +38,6 @@
 #include "core/dse.hh"
 #include "core/experiments.hh"
 #include "core/sim_cache.hh"
-#include "core/work_queue.hh"
 #include "gpu/gpu_config.hh"
 #include "stats/table.hh"
 #include "workloads/profile.hh"
@@ -141,8 +139,6 @@ renderKeys()
         const std::string label =
             csprintf("%s %s", p.workload.name().c_str(), p.config);
         line("file " + label, DiskSimCache::fileNameFor(key));
-        line("job " + label, jobFileNameFor(key));
-        line("reply " + label, replyFileNameFor(key));
     }
     return os.str();
 }

@@ -205,11 +205,6 @@ TEST(Cli, DumpStatsOptionsValidated)
     err.clear();
     EXPECT_NE(runCli({"--dump-stats", "--jobs=4"}, out, err), 0);
     EXPECT_NE(err.find("--jobs"), std::string::npos);
-    err.clear();
-    EXPECT_NE(runCli({"--dump-stats", "--backend=queue",
-                      "--spool-dir=/tmp/x"},
-                     out, err),
-              0);
 }
 
 TEST(Cli, DumpStatsPrintsTheTree)
@@ -287,9 +282,17 @@ TEST(Cli, UsageMentionsTheTickProfileFlag)
 
 TEST(Cli, JobsOptionsValidated)
 {
+    // Both bounds fail at parse time, so no case here forks anything.
+    for (const char *bad : {"--jobs=0", "--jobs=257", "--jobs=-3"}) {
+        std::string out, err;
+        EXPECT_EQ(runCli({"tab1", bad}, out, err), 1) << bad;
+        EXPECT_EQ(err, "bwsim: --jobs must be between 1 and 256\n") << bad;
+        EXPECT_TRUE(out.empty()) << bad;
+    }
+    // The ceiling itself is accepted; tab1 simulates nothing, so
+    // nothing forks.
     std::string out, err;
-    EXPECT_NE(runCli({"tab1", "--jobs=0"}, out, err), 0);
-    EXPECT_NE(err.find("--jobs"), std::string::npos);
+    EXPECT_EQ(runCli({"tab1", "--jobs=256"}, out, err), 0) << err;
 }
 
 TEST(Cli, UsageMentionsTheExecutionFlags)
@@ -301,156 +304,16 @@ TEST(Cli, UsageMentionsTheExecutionFlags)
         EXPECT_NE(out.find(flag), std::string::npos) << flag;
 }
 
-TEST(Cli, BackendOptionsValidated)
-{
-    std::string out, err;
-    EXPECT_NE(runCli({"tab1", "--backend=carrier-pigeon"}, out, err), 0);
-    EXPECT_NE(err.find("--backend"), std::string::npos);
-
-    // The fork fan-out is --jobs=N, not a backend of its own: the
-    // retired "jobs" backend name is unknown.
-    const std::string jobs_backend = std::string("--backend=") + "jobs";
-    err.clear();
-    EXPECT_NE(runCli({"tab1", jobs_backend.c_str(), "--jobs=2"}, out, err),
-              0);
-    EXPECT_NE(err.find("--backend expects threads or queue"),
-              std::string::npos);
-
-    // queue without a spool: nowhere to put the jobs.
-    err.clear();
-    EXPECT_NE(runCli({"tab1", "--backend=queue"}, out, err), 0);
-    EXPECT_NE(err.find("--spool-dir"), std::string::npos);
-
-    err.clear();
-    EXPECT_NE(runCli({"tab1", "--backend=threads", "--jobs=2"}, out,
-                     err),
-              0);
-    EXPECT_NE(err.find("contradicts"), std::string::npos);
-
-    // Local --jobs workers join the given spool next to external ones.
-    const std::string spool = ::testing::TempDir() + "bwsim-cli-q-jobs";
-    const std::string spool_flag = "--spool-dir=" + spool;
-    std::filesystem::remove_all(spool);
-    err.clear();
-    EXPECT_EQ(runCli({"tab1", "--backend=queue", spool_flag.c_str(),
-                      "--jobs=2"},
-                     out, err),
-              0)
-        << err;
-    EXPECT_NE(out.find("Table I"), std::string::npos);
-    std::filesystem::remove_all(spool);
-
-    err.clear();
-    EXPECT_NE(runCli({"tab1", "--job-timeout=0"}, out, err), 0);
-    EXPECT_NE(err.find("--job-timeout"), std::string::npos);
-}
-
-TEST(Cli, WorkerModeValidated)
-{
-    std::string out, err;
-    EXPECT_NE(runCli({"--worker"}, out, err), 0);
-    EXPECT_NE(err.find("--spool-dir"), std::string::npos);
-
-    err.clear();
-    EXPECT_NE(runCli({"--worker", "--spool-dir=/tmp/s", "tab1"}, out,
-                     err),
-              0);
-    EXPECT_NE(err.find("no experiment names"), std::string::npos);
-}
-
-TEST(Cli, CacheHousekeepingNeedsACacheDir)
-{
-    std::string out, err;
-    EXPECT_NE(runCli({"--cache-stats"}, out, err), 0);
-    EXPECT_NE(err.find("--cache-dir"), std::string::npos);
-
-    err.clear();
-    EXPECT_NE(runCli({"--cache-max-mb=1"}, out, err), 0);
-    EXPECT_NE(err.find("--cache-dir"), std::string::npos);
-
-    // A negative budget is a mistake, not a no-op.
-    err.clear();
-    EXPECT_NE(runCli({"--cache-max-mb=-5", "--cache-dir=/tmp/x"}, out,
-                     err),
-              0);
-    EXPECT_NE(err.find("--cache-max-mb"), std::string::npos);
-}
-
-TEST(Cli, CacheStatsOnAnEmptyDirReportsZeroEntries)
-{
-    std::string dir = ::testing::TempDir() + "bwsim-cli-cache-stats";
-    std::filesystem::remove_all(dir);
-    std::string out, err;
-    // Housekeeping-only invocation: no experiment names needed.
-    ASSERT_EQ(runCli({"--cache-stats", ("--cache-dir=" + dir).c_str()},
-                     out, err),
-              0);
-    EXPECT_NE(out.find("0 entries"), std::string::npos) << out;
-}
-
-TEST(Cli, UsageMentionsTheQueueFlags)
-{
-    std::string out, err;
-    ASSERT_EQ(runCli({"--help"}, out, err), 0);
-    for (const char *flag :
-         {"--backend", "--spool-dir", "--job-timeout", "--worker",
-          "--cache-stats", "--cache-max-mb"})
-        EXPECT_NE(out.find(flag), std::string::npos) << flag;
-}
-
 #ifdef __unix__
-TEST(Cli, ScratchSpoolDirTemplateHonorsTmpdir)
-{
-    // Save and restore whatever the harness environment set.
-    const char *saved = std::getenv("TMPDIR");
-    const std::string saved_val = saved ? saved : "";
-
-    ::setenv("TMPDIR", "/some/scratch", 1);
-    EXPECT_EQ(cli::scratchSpoolDirTemplate(),
-              "/some/scratch/bwsim-spool-XXXXXX");
-
-    // Trailing slashes must not double the separator.
-    ::setenv("TMPDIR", "/some/scratch///", 1);
-    EXPECT_EQ(cli::scratchSpoolDirTemplate(),
-              "/some/scratch/bwsim-spool-XXXXXX");
-
-    // Unset or empty falls back to /tmp like mktemp(1).
-    ::unsetenv("TMPDIR");
-    EXPECT_EQ(cli::scratchSpoolDirTemplate(), "/tmp/bwsim-spool-XXXXXX");
-    ::setenv("TMPDIR", "", 1);
-    EXPECT_EQ(cli::scratchSpoolDirTemplate(), "/tmp/bwsim-spool-XXXXXX");
-
-    // The template actually works: mkdtemp() materializes the scratch
-    // dir inside the TMPDIR the user asked for.
-    const std::string base = "/tmp/bwsim-tmpdir-test";
-    std::filesystem::remove_all(base);
-    std::filesystem::create_directories(base);
-    ::setenv("TMPDIR", base.c_str(), 1);
-    std::string tmpl_str = cli::scratchSpoolDirTemplate();
-    ASSERT_EQ(tmpl_str.rfind(base + "/bwsim-spool-", 0), 0u);
-    std::vector<char> tmpl(tmpl_str.begin(), tmpl_str.end());
-    tmpl.push_back('\0');
-    ASSERT_NE(::mkdtemp(tmpl.data()), nullptr);
-    EXPECT_TRUE(std::filesystem::is_directory(tmpl.data()));
-    std::filesystem::remove_all(base);
-
-    if (saved)
-        ::setenv("TMPDIR", saved_val.c_str(), 1);
-    else
-        ::unsetenv("TMPDIR");
-}
-
 TEST(Cli, JobsMatchesTheSingleProcessRun)
 {
-    // --jobs=2 forks two in-process work-queue workers (no re-exec),
-    // so it runs inside this test binary.
+    // --jobs=2 forks copies of this process (no re-exec), so it runs
+    // inside this test binary.
     namespace fs = std::filesystem;
     const std::string root = ::testing::TempDir() + "bwsim-cli-jobs";
     fs::remove_all(root);
     fs::create_directories(root + "/tmp");
     const std::string cache = "--cache-dir=" + root + "/cache";
-    const std::string spool = root + "/spool";
-    const std::string spool_flag = "--spool-dir=" + spool;
     const char *saved = std::getenv("TMPDIR");
     const std::string saved_val = saved ? saved : "";
     auto fig4 = [](std::vector<const char *> extra, std::string &out,
@@ -466,8 +329,8 @@ TEST(Cli, JobsMatchesTheSingleProcessRun)
     std::string single, err;
     ASSERT_EQ(fig4({}, single, err), 0) << err;
 
-    // Cold: both sims go through a scratch spool under $TMPDIR, which
-    // must be gone afterwards.
+    // Cold: both sims run in forked children, which must leave nothing
+    // in $TMPDIR.
     ::setenv("TMPDIR", (root + "/tmp").c_str(), 1);
     std::string cold;
     const int cold_rc =
@@ -479,20 +342,15 @@ TEST(Cli, JobsMatchesTheSingleProcessRun)
     ASSERT_EQ(cold_rc, 0) << err;
     EXPECT_EQ(cold, single);
     EXPECT_NE(err.find("sims=2 "), std::string::npos) << err;
-    EXPECT_TRUE(fs::is_empty(root + "/tmp")) << "leaked scratch spool";
+    EXPECT_TRUE(fs::is_empty(root + "/tmp")) << "left files in $TMPDIR";
 
-    // Warm, through a user-given spool: nothing is simulated, and the
-    // spool is the user's to keep.
+    // Warm: every result comes from the cache dir, so nothing forks.
     std::string warm;
-    ASSERT_EQ(fig4({"--jobs=2", cache.c_str(), spool_flag.c_str(),
-                    "--exec-stats"},
-                   warm, err),
+    ASSERT_EQ(fig4({"--jobs=2", cache.c_str(), "--exec-stats"}, warm, err),
               0)
         << err;
     EXPECT_EQ(warm, single);
     EXPECT_NE(err.find("sims=0 "), std::string::npos) << err;
-    EXPECT_TRUE(fs::is_directory(spool));
-    EXPECT_FALSE(fs::exists(spool + "/stop"));
 
     SimCache::global().clear();
     exp::configureExecution(exp::ExperimentOptions{});

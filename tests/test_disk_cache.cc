@@ -9,7 +9,6 @@
 
 #include <gtest/gtest.h>
 
-#include <chrono>
 #include <filesystem>
 #include <fstream>
 
@@ -359,175 +358,28 @@ TEST(DiskSimCache, ZeroLengthFileIsMissNotCorruption)
     expectIdentical(sampleResult(), out);
 }
 
-TEST(CacheDir, StatsCountEntriesBytesAndConfigs)
+TEST(CacheDir, StatsCountHeaderValidEntriesAndTheirBytes)
 {
     std::string dir = freshDir("stats");
     DiskSimCache cache(dir);
-
-    SimResult r = sampleResult();
-    // Keys in the SimCache's "profileKey \n configKey" shape; the
-    // config name is the first length-prefixed KeyBuilder field.
-    ASSERT_TRUE(cache.store("1:a|x|\n8:baseline|y|", r));
-    ASSERT_TRUE(cache.store("1:b|x|\n8:baseline|y|", r));
-    ASSERT_TRUE(cache.store("1:a|x|\n5:16+48|z|", r));
+    // Keys in the SimCache's "workloadKey \n configKey" shape.
+    const char *const keys[] = {"1:a|x|\n8:baseline|y|",
+                                "1:b|x|\n8:baseline|y|",
+                                "1:a|x|\n5:16+48|z|"};
+    std::uint64_t bytes = 0;
+    for (const char *key : keys) {
+        ASSERT_TRUE(cache.store(key, sampleResult()));
+        bytes += fs::file_size(entryPathFor(cache, key));
+    }
+    // Neither a foreign format under an entry name, nor a file that
+    // is not named like an entry, nor a writer's temp file counts.
+    writeFile(dir + "/sc-0000000000000bad.bin", "not an entry");
+    writeFile(dir + "/README.txt", "not a cache file at all");
+    writeFile(dir + "/tmp-1-0.part", "half-written entry");
 
     CacheDirStats stats = scanCacheDir(dir);
     EXPECT_EQ(stats.entries, 3u);
-    EXPECT_GT(stats.bytes, 0u);
-    EXPECT_EQ(stats.unreadable, 0u);
-    ASSERT_EQ(stats.byConfig.size(), 2u);
-    // Sorted by bytes descending: the two baseline entries lead.
-    EXPECT_EQ(stats.byConfig[0].config, "baseline");
-    EXPECT_EQ(stats.byConfig[0].entries, 2u);
-    EXPECT_EQ(stats.byConfig[1].config, "16+48");
-    EXPECT_EQ(stats.byConfig[1].entries, 1u);
-    EXPECT_EQ(stats.bytes,
-              stats.byConfig[0].bytes + stats.byConfig[1].bytes);
-}
-
-TEST(CacheDir, StatsFlagUnreadableFilesAndIgnoreForeignNames)
-{
-    std::string dir = freshDir("stats-foreign");
-    DiskSimCache cache(dir);
-    ASSERT_TRUE(cache.store("1:a|\n8:baseline|", sampleResult()));
-    writeFile(dir + "/sc-0000000000000bad.bin", "not an entry");
-    writeFile(dir + "/README.txt", "not a cache file at all");
-
-    CacheDirStats stats = scanCacheDir(dir);
-    EXPECT_EQ(stats.entries, 1u);
-    EXPECT_EQ(stats.unreadable, 1u);
-    EXPECT_GT(stats.unreadableBytes, 0u);
-}
-
-TEST(CacheDir, EvictionDropsOldestEntriesFirst)
-{
-    std::string dir = freshDir("evict");
-    DiskSimCache cache(dir);
-    SimResult r = sampleResult();
-    const std::string old_key = "1:a|\n3:old|";
-    const std::string new_key = "1:a|\n3:new|";
-    ASSERT_TRUE(cache.store(old_key, r));
-    ASSERT_TRUE(cache.store(new_key, r));
-    // Make the first entry unambiguously the LRU one.
-    fs::last_write_time(entryPathFor(cache, old_key),
-                        fs::file_time_type::clock::now() -
-                            std::chrono::hours(1));
-
-    const std::uint64_t entry_size =
-        fs::file_size(entryPathFor(cache, new_key));
-    EvictionReport rep = evictCacheDir(dir, entry_size);
-    EXPECT_EQ(rep.filesEvicted, 1u);
-    EXPECT_EQ(rep.filesKept, 1u);
-    EXPECT_EQ(rep.bytesKept, entry_size);
-    EXPECT_FALSE(fs::exists(entryPathFor(cache, old_key)))
-        << "the older entry is the one evicted";
-    EXPECT_TRUE(fs::exists(entryPathFor(cache, new_key)));
-
-    // The surviving entry still loads; the evicted one is a miss.
-    SimResult out;
-    EXPECT_TRUE(cache.load(new_key, out));
-    EXPECT_FALSE(cache.load(old_key, out));
-
-    // A zero budget clears the directory of entries.
-    rep = evictCacheDir(dir, 0);
-    EXPECT_EQ(rep.filesEvicted, 1u);
-    EXPECT_EQ(rep.filesKept, 0u);
-    EXPECT_EQ(scanCacheDir(dir).entries, 0u);
-}
-
-TEST(CacheDir, EvictionUnderEqualMtimesIsDeterministic)
-{
-    // On filesystems with coarse timestamps whole batches of entries
-    // share one mtime; the eviction order must then fall back to the
-    // path so --cache-max-mb keeps the same survivors on every run.
-    SimResult r = sampleResult();
-    const std::vector<std::string> keys{"1:a|\n2:k0|", "1:a|\n2:k1|",
-                                        "1:a|\n2:k2|", "1:a|\n2:k3|",
-                                        "1:a|\n2:k4|"};
-
-    auto run_once = [&](const std::string &dir,
-                        const std::vector<std::string> &store_order) {
-        DiskSimCache cache(dir);
-        for (const auto &k : store_order)
-            EXPECT_TRUE(cache.store(k, r));
-        // Collapse every mtime onto one instant, as a coarse
-        // filesystem would.
-        const auto stamp = fs::file_time_type::clock::now();
-        std::uint64_t entry_size = 0;
-        for (const auto &k : keys) {
-            fs::last_write_time(entryPathFor(cache, k), stamp);
-            entry_size = fs::file_size(entryPathFor(cache, k));
-        }
-        EvictionReport rep = evictCacheDir(dir, 2 * entry_size);
-        EXPECT_EQ(rep.filesEvicted, 3u);
-        EXPECT_EQ(rep.filesKept, 2u);
-        std::vector<std::string> survivors;
-        for (const auto &k : keys)
-            if (fs::exists(entryPathFor(cache, k)))
-                survivors.push_back(entryPathFor(cache, k)
-                                        .substr(dir.size()));
-        std::sort(survivors.begin(), survivors.end());
-        return survivors;
-    };
-
-    // Two directories, the entries stored in opposite orders: the
-    // survivor set must be identical (path order, not store order or
-    // directory-iteration luck).
-    auto fwd = run_once(freshDir("evict-ties-fwd"), keys);
-    std::vector<std::string> rev(keys.rbegin(), keys.rend());
-    auto bwd = run_once(freshDir("evict-ties-bwd"), rev);
-    ASSERT_EQ(fwd.size(), 2u);
-    EXPECT_EQ(fwd, bwd);
-
-    // And they are exactly the path-sort tail (ascending sort evicts
-    // the lexicographically smallest paths first).
-    std::vector<std::string> names;
-    for (const auto &k : keys)
-        names.push_back(DiskSimCache::fileNameFor(k));
-    std::sort(names.begin(), names.end());
-    EXPECT_EQ(fwd[0], "/" + names[3]);
-    EXPECT_EQ(fwd[1], "/" + names[4]);
-}
-
-TEST(CacheDir, StaleTempFilesAreCountedAndSwept)
-{
-    std::string dir = freshDir("temp-debris");
-    DiskSimCache cache(dir);
-    ASSERT_TRUE(cache.store("1:a|\n1:c|", sampleResult()));
-    // A crashed writer's leftover (old) and a live writer's (fresh).
-    writeFile(dir + "/tmp-1-0.part", "half-written entry");
-    writeFile(dir + "/tmp-2-0.part", "in-flight entry");
-    fs::last_write_time(dir + "/tmp-1-0.part",
-                        fs::file_time_type::clock::now() -
-                            std::chrono::hours(2));
-
-    CacheDirStats stats = scanCacheDir(dir);
-    EXPECT_EQ(stats.entries, 1u);
-    EXPECT_EQ(stats.tempFiles, 2u);
-    EXPECT_GT(stats.tempBytes, 0u);
-    EXPECT_EQ(stats.unreadable, 0u)
-        << "temp debris is not corruption";
-
-    // Eviction sweeps the stale .part file even under budget, but
-    // leaves the fresh one (its writer may still be alive) and the
-    // real entry alone.
-    EvictionReport rep = evictCacheDir(dir, 1024ull * 1024 * 1024);
-    EXPECT_EQ(rep.filesEvicted, 1u);
-    EXPECT_FALSE(fs::exists(dir + "/tmp-1-0.part"));
-    EXPECT_TRUE(fs::exists(dir + "/tmp-2-0.part"));
-    EXPECT_EQ(scanCacheDir(dir).entries, 1u);
-}
-
-TEST(CacheDir, EvictionUnderBudgetIsANoOp)
-{
-    std::string dir = freshDir("evict-noop");
-    DiskSimCache cache(dir);
-    ASSERT_TRUE(cache.store("1:a|\n1:c|", sampleResult()));
-    EvictionReport rep =
-        evictCacheDir(dir, 1024ull * 1024 * 1024);
-    EXPECT_EQ(rep.filesEvicted, 0u);
-    EXPECT_EQ(rep.filesKept, 1u);
-    EXPECT_EQ(scanCacheDir(dir).entries, 1u);
+    EXPECT_EQ(stats.bytes, bytes);
 }
 
 TEST(DiskSimCache, ClearDropsMemoryButKeepsDiskTier)

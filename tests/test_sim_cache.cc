@@ -2,8 +2,9 @@
  * @file
  * SimCache tests: cached results are bit-identical to fresh runs
  * (simulations are deterministic under fixed RNG seeds), duplicate
- * specs in one batch simulate once, and a two-figure driver run
- * performs the baseline benchmark simulations exactly once.
+ * specs in one batch simulate once, a two-figure driver run performs
+ * the baseline benchmark simulations exactly once, and the --jobs
+ * fork fan-out returns the thread pool's results byte for byte.
  */
 
 #include <gtest/gtest.h>
@@ -16,6 +17,7 @@
 #include "cli/cli.hh"
 #include "core/sim_cache.hh"
 #include "gpu/gpu.hh"
+#include "workloads/workload_spec.hh"
 
 using namespace bwsim;
 
@@ -278,3 +280,68 @@ TEST(SimCache, SimulationBackendIsPluggable)
     cache.run(p, cfg);
     EXPECT_EQ(counting->calls, 1u);
 }
+
+#ifdef __unix__
+namespace
+{
+
+/** Synthetic, trace and generator workloads, with duplicate specs. */
+std::vector<RunSpec>
+mixedBatch()
+{
+    auto trace = std::make_shared<TraceData>();
+    trace->sourceName = "mixed";
+    for (int i = 0; i < 200; ++i) {
+        TraceRecord r;
+        r.op = (i % 4 == 3) ? Op::Store : Op::Load;
+        r.addr = 0x20000 + static_cast<Addr>((i * 29) % 96) * 128;
+        trace->records.push_back(r);
+    }
+    sealTrace(*trace);
+    WorkloadSpec pchase;
+    EXPECT_TRUE(parseGeneratorForm("pchase:4k:64", pchase));
+
+    const GpuConfig base = quickConfig();
+    const GpuConfig pdram = quickConfig(GpuConfig::idealDram());
+    const WorkloadSpec tiny(makeTestProfile("tiny-mixed"));
+    const WorkloadSpec traced = makeTraceWorkload(trace);
+    return {{tiny, base}, {traced, base}, {pchase, pdram}, {tiny, base},
+            {traced, pdram}, {pchase, pdram}, {tiny, pdram}};
+}
+
+std::string
+resultBytes(const SimResult &r)
+{
+    ByteWriter w;
+    serializeResult(w, r);
+    return std::move(w).take();
+}
+
+} // namespace
+
+TEST(SimCache, ForkBackendMatchesThreadedBackendByteForByte)
+{
+    const std::vector<RunSpec> specs = mixedBatch();
+    const auto threaded = ThreadedBackend().runAll(specs, 2);
+    ASSERT_EQ(threaded.size(), specs.size());
+    // Two children share the batch; twenty fork one child per spec.
+    for (int jobs : {2, 20}) {
+        const auto forked = ForkBackend(jobs).runAll(specs);
+        ASSERT_EQ(forked.size(), specs.size()) << "jobs=" << jobs;
+        for (std::size_t i = 0; i < specs.size(); ++i)
+            EXPECT_EQ(resultBytes(forked[i]), resultBytes(threaded[i]))
+                << "jobs=" << jobs << " spec " << i;
+    }
+    EXPECT_TRUE(ForkBackend(2).runAll({}).empty());
+}
+
+TEST(SimCacheDeathTest, ForkBackendFailsWhenAWorkerDies)
+{
+    // A config that fails validate() makes the child that claims it
+    // fatal(); the parent must notice, fail with one line and exit 1.
+    std::vector<RunSpec> specs = mixedBatch();
+    specs[1].config.numCores = 0;
+    EXPECT_EXIT(ForkBackend(2).runAll(specs), ::testing::ExitedWithCode(1),
+                "a --jobs worker failed");
+}
+#endif // __unix__

@@ -11,9 +11,9 @@
  *  2. Content addressing -- trace keys depend on the records, never
  *     the file name or encoding, so `bwsim trace pack` and file moves
  *     cannot invalidate cached results.
- *  3. Parser/serdes hardening -- malformed text, truncated binary and
- *     corrupted job envelopes are rejected with diagnostics, never
- *     accepted or crashed on.
+ *  3. Parser hardening -- malformed text, truncated binary and
+ *     overflowing generator parameters are rejected with
+ *     diagnostics, never accepted, wrapped or crashed on.
  *  4. Parameter recovery -- the pointer-chase and stride generators,
  *     run through the full simulator, measure back the configured
  *     L1/L2/DRAM latency and bandwidth parameters. This validates
@@ -25,10 +25,10 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/dse.hh"
-#include "core/work_queue.hh"
 #include "gpu/gpu.hh"
 #include "sim/sim_speed.hh"
 #include "workloads/generators.hh"
@@ -255,105 +255,7 @@ TEST(TraceParser, BinaryEnvelopeRejectsTruncationAndCorruption)
 }
 
 // ---------------------------------------------------------------------
-// 3. Workload serdes and the work-queue envelope.
-// ---------------------------------------------------------------------
-
-TEST(WorkloadSerdes, RoundTripsAllThreeKinds)
-{
-    std::vector<WorkloadSpec> specs = {
-        WorkloadSpec(makeTestProfile("tiny-mixed")),
-        makeTraceWorkload(busyTrace()),
-        generatorSpec("stride:256:1m"),
-    };
-    for (const WorkloadSpec &spec : specs) {
-        ByteWriter w;
-        serializeWorkload(w, spec);
-        const std::string bytes = std::move(w).take();
-
-        ByteReader r(bytes);
-        WorkloadSpec back;
-        ASSERT_TRUE(deserializeWorkload(r, back));
-        EXPECT_EQ(back.kind, spec.kind);
-        EXPECT_EQ(back.name(), spec.name());
-        EXPECT_EQ(back.cacheKey(), spec.cacheKey());
-
-        // Re-encode is byte-identical: the envelope is canonical.
-        ByteWriter w2;
-        serializeWorkload(w2, back);
-        EXPECT_EQ(std::move(w2).take(), bytes);
-    }
-}
-
-TEST(WorkloadSerdes, TraceEnvelopeIsSelfContained)
-{
-    // A queue worker decodes the records themselves, not a path.
-    const WorkloadSpec spec = makeTraceWorkload(busyTrace());
-    ByteWriter w;
-    serializeWorkload(w, spec);
-    const std::string bytes = std::move(w).take();
-    ByteReader r(bytes);
-    WorkloadSpec back;
-    ASSERT_TRUE(deserializeWorkload(r, back));
-    ASSERT_NE(back.trace, nullptr);
-    ASSERT_EQ(back.trace->records.size(), spec.trace->records.size());
-    EXPECT_EQ(back.trace->records[17].addr, spec.trace->records[17].addr);
-    EXPECT_EQ(back.trace->contentHash, spec.trace->contentHash);
-}
-
-TEST(WorkloadSerdes, RejectsTruncationAndKindCorruption)
-{
-    const WorkloadSpec spec = makeTraceWorkload(busyTrace());
-    ByteWriter w;
-    serializeWorkload(w, spec);
-    const std::string bytes = std::move(w).take();
-
-    for (std::size_t cut = 0; cut < bytes.size(); cut += 7) {
-        const std::string prefix = bytes.substr(0, cut);
-        ByteReader r(prefix);
-        WorkloadSpec junk;
-        EXPECT_FALSE(deserializeWorkload(r, junk))
-            << "accepted a truncation at " << cut;
-    }
-    // An unknown kind tag is rejected up front.
-    std::string bad_kind = bytes;
-    bad_kind[0] = 7;
-    ByteReader r(bad_kind);
-    WorkloadSpec junk;
-    EXPECT_FALSE(deserializeWorkload(r, junk));
-}
-
-TEST(WorkloadSerdes, TraceHashMismatchIsRejected)
-{
-    // Flip one record byte but keep the stored hash: the semantic
-    // guard must notice even though lengths still line up.
-    const WorkloadSpec spec = makeTraceWorkload(busyTrace());
-    ByteWriter w;
-    serializeWorkload(w, spec);
-    std::string bytes = std::move(w).take();
-    // The canonical record block is the tail of the envelope.
-    bytes[bytes.size() - 3] ^= 0x01;
-    ByteReader r(bytes);
-    WorkloadSpec junk;
-    EXPECT_FALSE(deserializeWorkload(r, junk));
-}
-
-TEST(WorkQueueEnvelope, CarriesTraceAndGeneratorJobs)
-{
-    for (const WorkloadSpec &wl :
-         {makeTraceWorkload(busyTrace()), generatorSpec("pchase:4k:64")}) {
-        RunSpec spec{wl, GpuConfig::baseline()};
-        const std::string bytes = encodeJob(spec);
-        RunSpec back;
-        std::string why;
-        ASSERT_TRUE(decodeJob(bytes, back, &why)) << why;
-        EXPECT_EQ(back.workload.cacheKey(), spec.workload.cacheKey());
-        EXPECT_EQ(workKeyOf(back), workKeyOf(spec));
-        EXPECT_EQ(encodeJob(back), bytes);
-    }
-}
-
-// ---------------------------------------------------------------------
-// 4. Replay and generator execution semantics.
+// 3. Replay and generator execution semantics.
 // ---------------------------------------------------------------------
 
 TEST(TraceReplay, SchedulerModesAreByteIdentical)
@@ -400,6 +302,35 @@ TEST(Generators, ParseRejectsUnknownNamesQuietly)
     EXPECT_FALSE(parseGeneratorForm("pchaser:8k", out));
 }
 
+TEST(Generators, ParseAcceptsTheLargestInstructionCount)
+{
+    // Parse only: a spec builds its cursors lazily, so this
+    // allocates nothing for the two billion instructions.
+    const WorkloadSpec s = generatorSpec("pchase:8k:2147483647");
+    EXPECT_EQ(s.gen.insts, 2147483647);
+    EXPECT_EQ(s.gen.regionBytes, 8u * 1024);
+}
+
+TEST(GeneratorsDeathTest, ParseRejectsOverflowingParameters)
+{
+    // 3e9 and 2^32 + 1 instructions do not fit an int, the 20-digit
+    // sizes overflow 64 bits while the digits accumulate, and 2^34 g
+    // is 2^64 bytes, which the suffix multiply would wrap to 0.
+    const std::pair<const char *, const char *> cases[] = {
+        {"pchase:8k:3000000000", "malformed pchase insts"},
+        {"pchase:8k:4294967297", "malformed pchase insts"},
+        {"pchase:99999999999999999999", "malformed pchase region"},
+        {"pchase:17179869184g", "malformed pchase region"},
+        {"stride:128:99999999999999999999", "malformed stride region"},
+    };
+    for (const auto &[form, message] : cases) {
+        WorkloadSpec out;
+        EXPECT_EXIT(parseGeneratorForm(form, out),
+                    ::testing::ExitedWithCode(1), message)
+            << form;
+    }
+}
+
 TEST(Generators, LaunchShapesFitEveryCoreBudget)
 {
     const WorkloadSpec pchase = generatorSpec("pchase");
@@ -410,7 +341,7 @@ TEST(Generators, LaunchShapesFitEveryCoreBudget)
 }
 
 // ---------------------------------------------------------------------
-// 5. Parameter recovery: the generators measure back the configured
+// 4. Parameter recovery: the generators measure back the configured
 //    hierarchy. Expected values derive from GpuConfig::baseline():
 //    16 KB L1 (1-cycle hits), 768 KB L2 (4 L2-cycles), 128 B lines.
 // ---------------------------------------------------------------------
