@@ -43,7 +43,8 @@ asan() {
 #     counter printed by --exec-stats must say sims=0);
 #  2. a --jobs sweep (forked children per batch) must print tables
 #     byte-identical to the single-process run and leave no files
-#     behind in $TMPDIR, for synthetic and trace workloads.
+#     behind in $TMPDIR, for synthetic and trace workloads, and its
+#     --exec-stats must count the children's simulations.
 smoke() {
     smoke_tmp=$(mktemp -d)
     trap 'rm -rf "$smoke_tmp"' EXIT
@@ -100,18 +101,38 @@ smoke() {
     trace_args="fig4 --trace=$smoke_tmp/replay.bwtr --threads=2"
     ./build/bwsim $trace_args --scheduler=lockstep \
         > "$smoke_tmp/trace-lock.out"
-    ./build/bwsim $trace_args --scheduler=skip \
-        > "$smoke_tmp/trace-skip.out"
+    ./build/bwsim $trace_args --scheduler=skip --exec-stats \
+        > "$smoke_tmp/trace-skip.out" 2> "$smoke_tmp/trace-skip.err"
     cmp "$smoke_tmp/trace-lock.out" "$smoke_tmp/trace-skip.out" || {
         echo "smoke FAIL: trace replay differs across schedulers" >&2
         exit 1
     }
-    ./build/bwsim $trace_args --jobs=2 \
+    ./build/bwsim $trace_args --jobs=2 --exec-stats \
         --cache-dir="$smoke_tmp/trace-jobs" \
-        > "$smoke_tmp/trace-jobs.out"
+        > "$smoke_tmp/trace-jobs.out" 2> "$smoke_tmp/trace-jobs.err"
     cmp "$smoke_tmp/trace-lock.out" "$smoke_tmp/trace-jobs.out" || {
         echo "smoke FAIL: --jobs=2 trace replay differs from the" \
              "single-process run" >&2
+        exit 1
+    }
+    # The forked children simulate, so their counts must reach the
+    # parent's --exec-stats report: some runs, and exactly the core
+    # cycles of the single-process replay.
+    awk '/sim speed:/ {
+             for (i = 1; i <= NF; ++i) {
+                 split($i, kv, "=")
+                 v[FILENAME, kv[1]] = kv[2]
+             }
+         }
+         END {
+             s = ARGV[1]
+             j = ARGV[2]
+             exit !(v[j, "runs"] > 0 && v[j, "core-cycles"] > 0 &&
+                    v[j, "core-cycles"] == v[s, "core-cycles"])
+         }' "$smoke_tmp/trace-skip.err" "$smoke_tmp/trace-jobs.err" || {
+        echo "smoke FAIL: --jobs=2 --exec-stats does not count the" \
+             "children's simulations:" >&2
+        cat "$smoke_tmp/trace-skip.err" "$smoke_tmp/trace-jobs.err" >&2
         exit 1
     }
     # Warm replay of the *text* trace against the cache the *packed*

@@ -13,6 +13,8 @@
 #include "common/log.hh"
 #include "common/serdes.hh"
 #include "core/sim_cache.hh"
+#include "sim/sim_speed.hh"
+#include "sim/tick_profile.hh"
 
 #ifdef __unix__
 #include <poll.h>
@@ -100,18 +102,42 @@ writeAll(int fd, const std::string &bytes)
 
 /**
  * A child's whole life: claim indices until the batch runs out and
- * send each result as one frame, a u32 length and then the u64 index
- * and the serializeResult() bytes.
+ * send each result as one frame: a u32 length, then the u64 index,
+ * the serializeResult() bytes and the simulation's share of the
+ * --exec-stats totals, which die with the child. That share is the
+ * simSpeedTotals() delta and, under --profile-ticks, the
+ * tickProfileTotals() delta.
  */
 [[noreturn]] void
 childMain(const std::vector<RunSpec> &specs, Claims &next, int fd)
 {
     try {
         for (std::size_t i; (i = next.fetch_add(1)) < specs.size();) {
+            const SimSpeedTotals speed0 = simSpeedTotals();
+            const auto ticks0 = tickProfileTotals();
             ByteWriter body;
             body.u64(i);
             serializeResult(body,
                             runOne(specs[i].workload, specs[i].config));
+            const SimSpeedTotals speed1 = simSpeedTotals();
+            body.u64(speed1.coreCycles - speed0.coreCycles);
+            body.u64(speed1.tickedEdges - speed0.tickedEdges);
+            body.u64(speed1.sleptCoreCycles - speed0.sleptCoreCycles);
+            body.u64(speed1.sleptL2Ticks - speed0.sleptL2Ticks);
+            body.u64(speed1.sleptDramTicks - speed0.sleptDramTicks);
+            body.u64(speed1.wallNanos - speed0.wallNanos);
+            if (tickProfileEnabled()) {
+                // First-seen order only appends, so domain d of the
+                // earlier snapshot is domain d of the later one.
+                const auto ticks1 = tickProfileTotals();
+                body.u32(static_cast<std::uint32_t>(ticks1.size()));
+                for (std::size_t d = 0; d < ticks1.size(); ++d) {
+                    const bool seen = d < ticks0.size();
+                    body.str(ticks1[d].domain);
+                    body.u64(ticks1[d].ticks - (seen ? ticks0[d].ticks : 0));
+                    body.u64(ticks1[d].nanos - (seen ? ticks0[d].nanos : 0));
+                }
+            }
             ByteWriter frame;
             frame.str(body.bytes());
             if (!writeAll(fd, frame.bytes()))
@@ -140,10 +166,28 @@ takeFrames(std::string &buf, std::vector<SimResult> &out,
             fatal("--jobs: a worker sent result index %llu for a "
                   "batch of %zu",
                   static_cast<unsigned long long>(i), out.size());
-        if (!deserializeResult(r, out[i]) || r.remaining() != 0)
+        const bool result_ok = deserializeResult(r, out[i]);
+        const std::uint64_t core_cycles = r.u64(), ticked_edges = r.u64(),
+                            slept_core = r.u64(), slept_l2 = r.u64(),
+                            slept_dram = r.u64(), wall_nanos = r.u64();
+        std::vector<TickProfileDomainTotals> ticks;
+        if (tickProfileEnabled()) {
+            for (std::uint32_t n = r.u32(); n > 0 && r.ok(); --n) {
+                TickProfileDomainTotals d;
+                d.domain = r.str();
+                d.ticks = r.u64();
+                d.nanos = r.u64();
+                ticks.push_back(std::move(d));
+            }
+        }
+        if (!result_ok || !r.ok() || r.remaining() != 0)
             fatal("--jobs: a worker sent a malformed result for "
                   "index %llu",
                   static_cast<unsigned long long>(i));
+        recordSimSpeed(core_cycles, ticked_edges, slept_core, slept_l2,
+                       slept_dram, wall_nanos);
+        for (const auto &d : ticks)
+            recordTickProfile(d.domain, d.ticks, d.nanos);
         got[i] = true;
         ++received;
         off += 4 + len;

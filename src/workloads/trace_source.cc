@@ -1,10 +1,10 @@
 #include "workloads/trace_source.hh"
 
-#include <cctype>
-#include <cerrno>
-#include <cstdlib>
+#include <algorithm>
+#include <charconv>
 #include <fstream>
 #include <sstream>
+#include <string_view>
 #include <vector>
 
 #include "common/log.hh"
@@ -20,9 +20,13 @@ namespace
 /** Fixed canonical record width: u8 op + u64 addr + u32 cta. */
 constexpr std::size_t canonRecordBytes = 13;
 
-/** Rebuild records from canonical bytes; false on any malformation. */
+/**
+ * Rebuild records from canonical bytes; false on any malformation,
+ * including a tag the text parser would reject or one that does not
+ * match @p tagged.
+ */
 bool
-decodeCanonicalRecords(const std::string &canon,
+decodeCanonicalRecords(const std::string &canon, bool tagged,
                        std::vector<TraceRecord> &out)
 {
     if (canon.size() % canonRecordBytes != 0)
@@ -37,13 +41,73 @@ decodeCanonicalRecords(const std::string &canon,
             return false;
         out[i].op = op ? Op::Store : Op::Load;
         out[i].addr = r.u64();
-        out[i].cta = static_cast<std::int32_t>(r.u32()) - 1;
+        // The tag plus one; 0 marks an untagged record.
+        const std::uint32_t cta1 = r.u32();
+        if (tagged ? (cta1 == 0 || cta1 - 1 > traceMaxCtaTag)
+                   : cta1 != 0)
+            return false;
+        out[i].cta = static_cast<std::int32_t>(cta1) - 1;
     }
     return r.ok();
 }
 
+/** The bytes `>>` skips in the C locale: space and \t \n \v \f \r. */
 bool
-parseAccessType(const std::string &tok, Op &out)
+isFieldSeparator(char c)
+{
+    return c == ' ' || (c >= '\t' && c <= '\r');
+}
+
+/** Cut the next field off the front of @p rest; empty at end of line. */
+std::string_view
+nextField(std::string_view &rest)
+{
+    std::size_t b = 0;
+    while (b < rest.size() && isFieldSeparator(rest[b]))
+        ++b;
+    std::size_t e = b;
+    while (e < rest.size() && !isFieldSeparator(rest[e]))
+        ++e;
+    const std::string_view field = rest.substr(b, e - b);
+    rest.remove_prefix(e);
+    return field;
+}
+
+/**
+ * The whole of @p field as an unsigned integer under strtoull's
+ * base-0 rule (0x hex, leading 0 octal, else decimal), but with no
+ * sign: false on a sign, an overflow or any stray byte.
+ */
+bool
+parseUnsignedField(std::string_view field, std::uint64_t &out)
+{
+    int base = 10;
+    if (field.size() > 1 && field[0] == '0') {
+        const bool hex = field[1] == 'x' || field[1] == 'X';
+        base = hex ? 16 : 8;
+        field.remove_prefix(hex ? 2 : 1);
+    }
+    const char *last = field.data() + field.size();
+    const auto [ptr, ec] = std::from_chars(field.data(), last, out, base);
+    return ec == std::errc() && ptr == last;
+}
+
+/** @p field as a diagnostic prints it, with each NUL byte as \0. */
+std::string
+shownField(std::string_view field)
+{
+    std::string out;
+    for (const char c : field) {
+        if (c == '\0')
+            out += "\\0";
+        else
+            out += c;
+    }
+    return out;
+}
+
+bool
+parseAccessType(std::string_view tok, Op &out)
 {
     if (tok == "ld" || tok == "load" || tok == "r") {
         out = Op::Load;
@@ -73,52 +137,58 @@ parseTextTrace(std::istream &in, const std::string &name, TraceData &out,
     out.sourceName = name;
     bool saw_tagged = false, saw_untagged = false;
 
-    std::string line;
-    for (std::size_t lineno = 1; std::getline(in, line); ++lineno) {
+    // Room for the longest line, its '\r' and getline()'s '\0': a
+    // longer line fails the read, so none is buffered past the limit.
+    char buf[traceMaxLineBytes + 2];
+    for (std::size_t lineno = 1;; ++lineno) {
+        in.getline(buf, sizeof(buf));
+        const auto got = static_cast<std::size_t>(in.gcount());
+        if (in.fail() && got == 0)
+            break; // end of input
+        // gcount() counts the '\n' that ended the line, if one did.
+        std::string_view line(buf, in.good() ? got - 1 : got);
         if (!line.empty() && line.back() == '\r')
-            line.pop_back();
-        if (line.size() > traceMaxLineBytes) {
+            line.remove_suffix(1);
+        if (in.fail() || line.size() > traceMaxLineBytes) {
             err = csprintf("%s:%zu: line exceeds %zu bytes", name.c_str(),
                            lineno, traceMaxLineBytes);
             return false;
         }
-        std::istringstream toks(line);
-        std::string type_tok;
-        if (!(toks >> type_tok) || type_tok[0] == '#')
+        std::string_view rest = line;
+        const std::string_view type_tok = nextField(rest);
+        if (type_tok.empty() || type_tok[0] == '#')
             continue; // blank line or comment
 
         TraceRecord rec;
         if (!parseAccessType(type_tok, rec.op)) {
             err = csprintf("%s:%zu: unknown access type '%s' "
                            "(expected ld/load/r or st/store/w)",
-                           name.c_str(), lineno, type_tok.c_str());
+                           name.c_str(), lineno,
+                           shownField(type_tok).c_str());
             return false;
         }
 
-        std::string addr_tok;
-        if (!(toks >> addr_tok)) {
+        const std::string_view addr_tok = nextField(rest);
+        if (addr_tok.empty()) {
             err = csprintf("%s:%zu: missing address", name.c_str(),
                            lineno);
             return false;
         }
-        char *end = nullptr;
-        errno = 0;
-        rec.addr = std::strtoull(addr_tok.c_str(), &end, 0);
-        if (errno != 0 || end == addr_tok.c_str() || *end != '\0') {
+        if (!parseUnsignedField(addr_tok, rec.addr)) {
             err = csprintf("%s:%zu: malformed address '%s'",
-                           name.c_str(), lineno, addr_tok.c_str());
+                           name.c_str(), lineno,
+                           shownField(addr_tok).c_str());
             return false;
         }
 
-        std::string cta_tok;
-        if (toks >> cta_tok) {
-            errno = 0;
-            const unsigned long long tag =
-                std::strtoull(cta_tok.c_str(), &end, 0);
-            if (errno != 0 || end == cta_tok.c_str() || *end != '\0' ||
-                tag > 0x7fffffffull) {
+        const std::string_view cta_tok = nextField(rest);
+        if (!cta_tok.empty()) {
+            std::uint64_t tag = 0;
+            if (!parseUnsignedField(cta_tok, tag) ||
+                tag > static_cast<std::uint64_t>(traceMaxCtaTag)) {
                 err = csprintf("%s:%zu: malformed CTA tag '%s'",
-                               name.c_str(), lineno, cta_tok.c_str());
+                               name.c_str(), lineno,
+                               shownField(cta_tok).c_str());
                 return false;
             }
             rec.cta = static_cast<std::int32_t>(tag);
@@ -127,10 +197,11 @@ parseTextTrace(std::istream &in, const std::string &name, TraceData &out,
             saw_untagged = true;
         }
 
-        std::string extra;
-        if (toks >> extra) {
+        const std::string_view extra = nextField(rest);
+        if (!extra.empty()) {
             err = csprintf("%s:%zu: trailing garbage '%s'",
-                           name.c_str(), lineno, extra.c_str());
+                           name.c_str(), lineno,
+                           shownField(extra).c_str());
             return false;
         }
         out.records.push_back(rec);
@@ -182,7 +253,7 @@ unpackTrace(const std::string &bytes, const std::string &name,
     const std::string canon = r.str();
     if (!r.ok() || r.remaining() != 0 ||
         canon.size() != count * canonRecordBytes ||
-        !decodeCanonicalRecords(canon, out.records)) {
+        !decodeCanonicalRecords(canon, out.ctaTagged, out.records)) {
         err = csprintf("%s: corrupt packed-trace payload", name.c_str());
         return false;
     }
@@ -242,47 +313,49 @@ TraceReplayCursor::TraceReplayCursor(std::shared_ptr<const TraceData> trace_,
                                      std::uint64_t cta_seq,
                                      int warp_in_cta,
                                      std::uint32_t line_bytes)
-    : trace(std::move(trace_)), warpsPerCta(warps_per_cta),
-      ctaSeq(cta_seq), warpInCta(warp_in_cta),
-      globalWarp(cta_seq * warps_per_cta + warp_in_cta),
-      totalWarps(static_cast<std::uint64_t>(num_ctas) * warps_per_cta),
-      line(line_bytes)
+    : trace(std::move(trace_)), line(line_bytes)
 {
     bwsim_assert(trace != nullptr, "TraceReplayCursor: null trace");
-    seek();
-}
-
-void
-TraceReplayCursor::seek()
-{
-    const auto &recs = trace->records;
-    while (pos < recs.size()) {
-        const std::size_t i = pos++;
-        bool mine;
-        if (trace->ctaTagged) {
-            if (recs[i].cta != static_cast<std::int32_t>(ctaSeq))
-                continue;
-            mine = tagMatches % warpsPerCta ==
-                   static_cast<std::uint64_t>(warpInCta);
-            ++tagMatches;
-        } else {
-            mine = i % totalWarps == globalWarp;
-        }
-        if (mine) {
-            cur = i;
-            curValid = true;
-            return;
-        }
+    bwsim_assert(cta_seq < static_cast<std::uint64_t>(num_ctas) &&
+                     warp_in_cta >= 0 && warp_in_cta < warps_per_cta,
+                 "TraceReplayCursor: warp %d of CTA %llu is outside a "
+                 "%d x %d launch",
+                 warp_in_cta, static_cast<unsigned long long>(cta_seq),
+                 num_ctas, warps_per_cta);
+    if (!trace->ctaTagged) {
+        // Record i belongs to global warp i % totalWarps.
+        pos = cta_seq * warps_per_cta + warp_in_cta;
+        end = trace->records.size();
+        step = static_cast<std::size_t>(num_ctas) * warps_per_cta;
+        return;
     }
-    curValid = false;
+    // The k-th record of this CTA, in file order, belongs to its warp
+    // k % warpsPerCta.
+    const auto &idx = trace->byCta;
+    bwsim_assert(idx.size() == trace->records.size(),
+                 "TraceReplayCursor: trace not sealed");
+    const auto cta = static_cast<std::int32_t>(cta_seq);
+    const auto tag = [this](std::uint32_t i) {
+        return trace->records[i].cta;
+    };
+    const auto first = std::partition_point(
+        idx.begin(), idx.end(),
+        [&](std::uint32_t i) { return tag(i) < cta; });
+    const auto last = std::partition_point(
+        first, idx.end(), [&](std::uint32_t i) { return tag(i) == cta; });
+    pos = static_cast<std::size_t>(first - idx.begin()) + warp_in_cta;
+    end = static_cast<std::size_t>(last - idx.begin());
+    step = static_cast<std::size_t>(warps_per_cta);
 }
 
 bool
 TraceReplayCursor::next(WarpInstData &out)
 {
-    if (!curValid)
+    if (done())
         return false;
-    const TraceRecord &rec = trace->records[cur];
+    const TraceRecord &rec =
+        trace->records[trace->ctaTagged ? trace->byCta[pos] : pos];
+    pos += step;
     out.reset();
     out.op = rec.op;
     // Rotate destinations so replayed loads never serialize on a
@@ -294,7 +367,6 @@ TraceReplayCursor::next(WarpInstData &out)
     out.pc = nextPc();
     out.lineAddrs.push_back(rec.addr & ~static_cast<Addr>(line - 1));
     ++instSeq;
-    seek();
     return true;
 }
 

@@ -3,16 +3,20 @@
  * TraceSource: file-backed workloads. Two on-disk encodings share one
  * in-memory TraceData (and one content hash):
  *
- * Text ("classic type addr" format), parsed line by line:
+ * Text ("classic type addr" format), parsed line by line, with an
+ * optional third column, the CTA tag:
  *
  *     # comment
- *     ld 0x1000        <- load
- *     st 0x2000        <- store
- *     ld 0x3000 2      <- optional third column: CTA tag
+ *     ld 0x1000 0
+ *     st 0x2000 1
  *
- * Types accept ld/load/r and st/store/w; addresses parse in base 16
- * with or without 0x, or decimal with a leading '#d'-free digit via
- * base-0 strtoull. A trace is CTA-tagged iff every record carries a
+ * Types accept ld/load/r and st/store/w. Fields are separated by
+ * the C locale's whitespace (space, \t, \v, \f, \r, \n). Addresses
+ * and tags are unsigned integers with strtoull's base-0 rule: a 0x
+ * prefix means hex, a leading 0 octal, anything else decimal; a sign
+ * or any other byte (a NUL included) in a field is an error. Tags run
+ * from 0 to traceMaxCtaTag. A '#' starts a comment only as the first
+ * field of a line. A trace is CTA-tagged iff every record carries a
  * tag (mixing is a parse error).
  *
  * Binary (`bwsim trace pack`): a frameBlob envelope (magic, version,
@@ -22,8 +26,11 @@
  *
  * TraceReplayCursor feeds the records to warps either round-robin
  * over all launched warps (untagged) or by CTA tag with round-robin
- * among the CTA's warps (tagged). Replay is fully deterministic, so
- * like every workload it is bit-identical across scheduler modes.
+ * among the CTA's warps (tagged). Each cursor walks only its own
+ * records, a stride through the trace or through its CTA's slice of
+ * TraceData::byCta, so one replay costs O(records) however many warps
+ * run. Replay is fully deterministic, so like every workload it is
+ * bit-identical across scheduler modes.
  */
 
 #ifndef BWSIM_WORKLOADS_TRACE_SOURCE_HH
@@ -44,12 +51,14 @@ namespace bwsim
 constexpr std::uint32_t traceFileMagic = 0x52545742;
 constexpr std::uint32_t traceFileVersion = 1;
 
-/** Longest accepted text line; longer input is a parse error. */
+/** Longest accepted text line, not counting a trailing '\r'; longer
+ *  input is a parse error. */
 constexpr std::size_t traceMaxLineBytes = 512;
 
 /**
- * Parse the text format from @p in (streaming; the file is never
- * slurped). On success fills a sealed @p out and returns true; on any
+ * Parse the text format from @p in (streaming: the file is never
+ * slurped, and a line is never read past traceMaxLineBytes). On
+ * success fills a sealed @p out and returns true; on any
  * malformed input fills @p err with a "<name>:<line>: ..." message
  * and returns false. An empty trace (no records) is an error.
  */
@@ -83,25 +92,21 @@ class TraceReplayCursor final : public TraceCursor
 
     bool next(WarpInstData &out) override;
     Addr nextPc() const override;
-    bool done() const override { return !curValid; }
+    bool done() const override { return pos >= end; }
 
   private:
-    /** Advance cur to the next record owned by this warp. */
-    void seek();
-
     std::shared_ptr<const TraceData> trace;
-    int warpsPerCta;
-    std::uint64_t ctaSeq;
-    int warpInCta;
-    std::uint64_t globalWarp;
-    std::uint64_t totalWarps;
     std::uint32_t line;
 
-    std::size_t pos = 0;      ///< next unexamined record index
-    std::size_t cur = 0;      ///< record next() will emit
-    bool curValid = false;
-    std::uint64_t tagMatches = 0; ///< tagged: records seen for ctaSeq
-    std::uint64_t instSeq = 0;    ///< instructions emitted (PC loop)
+    /**
+     * This warp's records are slot pos, pos + step, ... below end.
+     * A slot is a record index (untagged) or a position in
+     * trace->byCta (tagged).
+     */
+    std::size_t pos = 0;
+    std::size_t end = 0;
+    std::size_t step = 1;
+    std::uint64_t instSeq = 0; ///< instructions emitted (PC loop)
 };
 
 } // namespace bwsim

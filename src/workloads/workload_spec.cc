@@ -1,7 +1,9 @@
 #include "workloads/workload_spec.hh"
 
 #include <algorithm>
+#include <array>
 #include <limits>
+#include <numeric>
 
 #include "common/key_builder.hh"
 #include "common/log.hh"
@@ -27,10 +29,56 @@ canonicalTraceBytes(const TraceData &t)
     return std::move(w).take();
 }
 
+namespace
+{
+
+/**
+ * Record indices of a tagged trace stably sorted by tag: an LSD radix
+ * sort a byte at a time, with as many passes as the largest tag has
+ * bytes. A table indexed by tag would cost memory in the largest tag,
+ * not in the records.
+ */
+std::vector<std::uint32_t>
+indexByCta(const std::vector<TraceRecord> &recs)
+{
+    std::vector<std::uint32_t> order(recs.size()), scratch(recs.size());
+    std::iota(order.begin(), order.end(), 0u);
+    std::uint32_t max_tag = 0;
+    for (const auto &r : recs) {
+        bwsim_assert(r.cta >= 0 && r.cta <= traceMaxCtaTag,
+                     "sealTrace: CTA tag %d out of range", r.cta);
+        max_tag = std::max(max_tag, static_cast<std::uint32_t>(r.cta));
+    }
+    for (unsigned shift = 0; shift < 32 && (max_tag >> shift) != 0;
+         shift += 8) {
+        const auto digit = [&recs, shift](std::uint32_t i) {
+            return (static_cast<std::uint32_t>(recs[i].cta) >> shift) &
+                   0xffu;
+        };
+        std::array<std::size_t, 257> next{};
+        for (std::uint32_t i = 0; i < order.size(); ++i)
+            ++next[digit(i) + 1];
+        std::partial_sum(next.begin(), next.end(), next.begin());
+        for (const std::uint32_t i : order)
+            scratch[next[digit(i)]++] = i;
+        order.swap(scratch);
+    }
+    return order;
+}
+
+} // anonymous namespace
+
 void
 sealTrace(TraceData &t)
 {
+    bwsim_assert(t.records.size() <=
+                     std::numeric_limits<std::uint32_t>::max(),
+                 "sealTrace: %zu records overflow the CTA index",
+                 t.records.size());
     t.contentHash = fnv1a64(canonicalTraceBytes(t));
+    t.byCta.clear();
+    if (t.ctaTagged)
+        t.byCta = indexByCta(t.records);
 }
 
 std::string
@@ -78,10 +126,9 @@ makeTraceWorkload(std::shared_ptr<const TraceData> trace)
     s.profile.warpsPerCta = 4;
     s.profile.maxCtasPerCore = 4;
     if (trace->ctaTagged) {
-        std::int32_t max_tag = 0;
-        for (const auto &r : trace->records)
-            max_tag = std::max(max_tag, r.cta);
-        s.profile.numCtas = max_tag + 1;
+        bwsim_assert(trace->byCta.size() == trace->records.size(),
+                     "makeTraceWorkload: trace not sealed");
+        s.profile.numCtas = trace->records[trace->byCta.back()].cta + 1;
     } else {
         s.profile.numCtas = 4;
     }

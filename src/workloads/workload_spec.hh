@@ -52,14 +52,19 @@ enum class WorkloadKind : std::uint8_t
     Generator = 2,
 };
 
-/** One memory access of a file-backed trace. */
+/** One memory access of a file-backed trace; widest field first, so
+ *  a record takes 16 bytes, not 24. */
 struct TraceRecord
 {
-    Op op = Op::Load; ///< Load or Store only
     Addr addr = 0;
     /** CTA tag from the optional third column; -1 = untagged. */
     std::int32_t cta = -1;
+    Op op = Op::Load; ///< Load or Store only
 };
+
+/** Largest CTA tag a trace may carry, so that maxTag + 1 CTAs fit an
+ *  int. */
+constexpr std::int32_t traceMaxCtaTag = 2147483646;
 
 /** An in-memory trace plus its canonical content hash. */
 struct TraceData
@@ -69,6 +74,13 @@ struct TraceData
     std::vector<TraceRecord> records;
     /** fnv1a64 over canonicalTraceBytes(); the cache identity. */
     std::uint64_t contentHash = 0;
+    /**
+     * Tagged traces only: every record index, stably sorted by CTA
+     * tag, so each CTA's records form one slice in file order. Built
+     * by sealTrace() and excluded from the hash; 4 B per record
+     * however sparse the tags are.
+     */
+    std::vector<std::uint32_t> byCta;
 };
 
 /**
@@ -78,7 +90,11 @@ struct TraceData
  */
 std::string canonicalTraceBytes(const TraceData &t);
 
-/** Recompute and store @p t.contentHash from its records. */
+/**
+ * Recompute and store @p t.contentHash and @p t.byCta from its
+ * records, in O(records) time and memory. A tagged trace's tags must
+ * lie in [0, traceMaxCtaTag].
+ */
 void sealTrace(TraceData &t);
 
 enum class GenKind : std::uint8_t
@@ -132,7 +148,8 @@ struct WorkloadSpec
 /**
  * Wrap a sealed trace in a runnable spec. The launch shape defaults
  * to 4 CTAs x 4 warps (16 warp contexts, within every config's
- * per-core budget); CTA-tagged traces instead launch maxTag+1 CTAs.
+ * per-core budget); CTA-tagged traces instead launch maxTag+1 CTAs,
+ * read off the end of the trace's byCta index.
  */
 WorkloadSpec makeTraceWorkload(std::shared_ptr<const TraceData> trace);
 

@@ -7,11 +7,14 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <iterator>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "cli/cli.hh"
 #include "core/sim_cache.hh"
+#include "sim/sim_speed.hh"
 #include "sim/tick_profile.hh"
 
 using namespace bwsim;
@@ -355,5 +358,80 @@ TEST(Cli, JobsMatchesTheSingleProcessRun)
     SimCache::global().clear();
     exp::configureExecution(exp::ExperimentOptions{});
     fs::remove_all(root);
+}
+
+namespace
+{
+
+/** The value after the first " key=" in @p text, or -1 if absent. */
+long long
+statValue(const std::string &text, const std::string &key)
+{
+    const std::size_t at = text.find(" " + key + "=");
+    if (at == std::string::npos)
+        return -1;
+    return std::stoll(text.substr(at + key.size() + 2));
+}
+
+} // namespace
+
+TEST(Cli, JobsExecStatsCountTheForkedSimulations)
+{
+    // The totals are process-wide, so each run is judged by what it
+    // added to them. Every field compared is an exact count.
+    const char *const speed_keys[] = {"runs",     "core-cycles",
+                                      "ticked-edges", "sm-slept",
+                                      "l2-slept", "dram-slept"};
+    const char *const domains[] = {"dram", "icnt", "core"};
+    struct Added
+    {
+        std::vector<long long> speed, ticks;
+    };
+    auto run = [&](const char *fan_out) {
+        SimCache::global().clear();
+        const SimSpeedTotals before = simSpeedTotals();
+        const auto ticks_before = tickProfileTotals();
+        std::string out, err;
+        EXPECT_EQ(runCli({"sec6", "--benches=bfs", "--shrink=16", fan_out,
+                          "--exec-stats", "--profile-ticks"},
+                         out, err),
+                  0)
+            << err;
+        const long long prior[] = {
+            static_cast<long long>(before.runs),
+            static_cast<long long>(before.coreCycles),
+            static_cast<long long>(before.tickedEdges),
+            static_cast<long long>(before.sleptCoreCycles),
+            static_cast<long long>(before.sleptL2Ticks),
+            static_cast<long long>(before.sleptDramTicks)};
+        Added a;
+        for (std::size_t k = 0; k < std::size(speed_keys); ++k)
+            a.speed.push_back(statValue(err, speed_keys[k]) - prior[k]);
+        for (const char *d : domains) {
+            long long prior_ticks = 0;
+            for (const auto &t : ticks_before)
+                if (t.domain == d)
+                    prior_ticks = static_cast<long long>(t.ticks);
+            const std::size_t at =
+                err.find(std::string("tick profile: domain=") + d + " ");
+            EXPECT_NE(at, std::string::npos) << d << "\n" << err;
+            if (at != std::string::npos)
+                a.ticks.push_back(statValue(err.substr(at), "ticks") -
+                                  prior_ticks);
+        }
+        return a;
+    };
+
+    const Added threads = run("--threads=2");
+    const Added jobs = run("--jobs=2");
+    setTickProfileEnabled(false); // process-global; don't leak
+    SimCache::global().clear();
+    exp::configureExecution(exp::ExperimentOptions{});
+
+    EXPECT_EQ(threads.speed[0], 4); // sec6 runs 4 sims per benchmark
+    EXPECT_GT(threads.speed[1], 0);
+    for (std::size_t k = 0; k < std::size(speed_keys); ++k)
+        EXPECT_EQ(jobs.speed[k], threads.speed[k]) << speed_keys[k];
+    EXPECT_EQ(jobs.ticks, threads.ticks);
 }
 #endif // __unix__
