@@ -8,9 +8,18 @@ regressed by more than the threshold (default 30%), if the skip
 scheduler runs slower than lockstep on any profile of the fresh report
 beyond a tolerance (default 15%), or if the latency probe no longer
 beats lockstep. CI machines are noisy and differ from the machine that
-produced the committed baseline, so the check can be demoted to a
-warning by setting BWSIM_PERF_SOFT=1 (exit 0 with the same report
+produced the committed baseline, so these rate checks can be demoted
+to a warning by setting BWSIM_PERF_SOFT=1 (exit 0 with the same report
 printed).
+
+The exact work counts are not rates: a row's `core_cycles` and
+`ticked_edges` and its slept SM, L2-bank and DRAM-channel ticks are
+the same on every host and every run of one binary. So a row present
+in both reports fails, even under BWSIM_PERF_SOFT=1, when its
+`core_cycles` or `ticked_edges` differ, or when it slept fewer ticks
+(`sm_slept`, `l2_slept` or `dram_slept` dropped): the simulation
+changed, or sleep engages less. A change that means to move them
+regenerates the committed baseline with them.
 
 Environment:
     BWSIM_PERF_THRESHOLD       allowed fractional rate drop vs the
@@ -60,6 +69,45 @@ def skip_speedup(profile):
     if usable_rate(ls) and usable_rate(sk):
         return sk / ls
     return None
+
+
+# Exact work counts, as paths into a profile row. The first must
+# match the baseline exactly; the second must not fall below it.
+EXACT_COUNTS = (("core_cycles",), ("skip", "ticked_edges"))
+SLEPT_COUNTS = (("skip", "sm_slept"), ("skip", "l2_slept"),
+                ("skip", "dram_slept"))
+
+
+def exact_count(profile, path):
+    """The integer at @p path in a profile row, or None if absent."""
+    value = profile
+    for key in path:
+        if not isinstance(value, dict):
+            return None
+        value = value.get(key)
+    if isinstance(value, bool) or not isinstance(value, int):
+        return None
+    return value
+
+
+def exact_count_failures(fresh_profiles, base_profiles):
+    """Rows in both reports whose exact work counts moved the wrong way."""
+    failures = []
+    for name, b in base_profiles.items():
+        f = fresh_profiles.get(name)
+        if f is None:
+            continue
+        for path in EXACT_COUNTS + SLEPT_COUNTS:
+            fv, bv = exact_count(f, path), exact_count(b, path)
+            if fv is None or bv is None:
+                continue
+            field = path[-1]
+            if path in EXACT_COUNTS and fv != bv:
+                failures.append(f"{name}: {field} {fv} != baseline {bv}")
+            elif path in SLEPT_COUNTS and fv < bv:
+                failures.append(f"{name}: {field} {fv} < baseline {bv} "
+                                "(sleep engages less)")
+    return failures
 
 
 def main():
@@ -129,10 +177,20 @@ def main():
                 f"latency probe speedup {probe:.2f}x: skip "
                 "scheduler no longer beats lockstep")
 
+    exact = exact_count_failures(fresh_profiles, base_profiles)
+    print(f"  exact work counts: {len(exact)} row field(s) moved")
+
     if failures:
         print("\nperf_check: regressions detected:", file=sys.stderr)
         for f in failures:
             print(f"  - {f}", file=sys.stderr)
+    if exact:
+        print("\nperf_check: exact work counts differ from the "
+              "baseline (never softened):", file=sys.stderr)
+        for f in exact:
+            print(f"  - {f}  <-- EXACT", file=sys.stderr)
+        return 1
+    if failures:
         if soft:
             print("perf_check: BWSIM_PERF_SOFT=1, not failing the build",
                   file=sys.stderr)

@@ -312,30 +312,26 @@ runAblation(const exp::ExperimentOptions &opts, std::ostream &os)
     add("Mem pipeline 4x", "=",
         [](GpuConfig &c) { c.memPipelineWidth *= 4; });
 
-    std::vector<RunSpec> specs;
-    for (const auto &p : profiles) {
-        specs.push_back({p, GpuConfig::baseline()});
-        for (const auto &k : knobs)
-            specs.push_back({p, k.cfg});
-    }
+    std::vector<GpuConfig> configs{GpuConfig::baseline()};
+    for (const auto &k : knobs)
+        configs.push_back(k.cfg);
     heading(opts, os,
             csprintf("=== Ablation: each Table III knob alone at 4x "
                      "(%zu sims) ===",
-                     specs.size()));
-    auto results = exp::executionBackend().runAll(specs, o.threads);
+                     configs.size() * profiles.size()));
+    // Config-major: the result of profile b on knob k is at
+    // [(1 + k) * n + b], its baseline at [b].
+    const auto results = exp::runConfigs(profiles, configs, o.threads);
 
     std::vector<std::string> headers{"knob", "type"};
     for (const auto &p : profiles)
         headers.push_back(p.name());
     stats::TextTable t(headers);
-    std::size_t stride = knobs.size() + 1;
+    const std::size_t n = profiles.size();
     for (std::size_t k = 0; k < knobs.size(); ++k) {
         t.newRow().add(knobs[k].name).add(knobs[k].type);
-        for (std::size_t b = 0; b < profiles.size(); ++b) {
-            const SimResult &base = results[b * stride];
-            const SimResult &r = results[b * stride + 1 + k];
-            t.addNum(r.speedupOver(base), 2);
-        }
+        for (std::size_t b = 0; b < n; ++b)
+            t.addNum(results[(1 + k) * n + b].speedupOver(results[b]), 2);
     }
     emit(opts, os, t);
     note(opts, os,
@@ -465,10 +461,12 @@ runDumpStats(const exp::ExperimentOptions &opts,
  * simulation-speed report and (when --profile-ticks is on) the
  * per-domain tick-cost totals. One helper so every exit path that
  * simulated something -- experiment tables and --dump-stats alike --
- * prints the same report.
+ * prints the same report. backend= names what simulated the cache
+ * misses: the ForkBackend runExperiments() installs for --jobs, else
+ * the SimCache's default ThreadedBackend.
  */
 void
-printExecStats(std::ostream &err)
+printExecStats(const exp::ExperimentOptions &opts, std::ostream &err)
 {
     const SimCache &cache = SimCache::global();
     err << csprintf(
@@ -478,7 +476,7 @@ printExecStats(std::ostream &err)
         static_cast<unsigned long long>(cache.hits()),
         static_cast<unsigned long long>(cache.diskHits()),
         static_cast<unsigned long long>(cache.diskStores()),
-        exp::executionBackend().name().c_str());
+        opts.jobs > 1 ? "fork" : "threaded");
     const SimSpeedTotals speed = simSpeedTotals();
     err << csprintf(
         "bwsim: sim speed: scheduler=%s runs=%llu "
@@ -1085,7 +1083,7 @@ cliMain(int argc, const char *const *argv, std::ostream &out,
         // --dump-stats simulates too: the epilogue must not be lost
         // to this early return.
         if (exec_stats)
-            printExecStats(err);
+            printExecStats(opts, err);
         return dump_rc;
     }
 
@@ -1116,7 +1114,7 @@ cliMain(int argc, const char *const *argv, std::ostream &out,
 
     runExperiments(names, opts, out);
     if (exec_stats)
-        printExecStats(err);
+        printExecStats(opts, err);
     return 0;
 }
 

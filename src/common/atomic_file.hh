@@ -14,6 +14,7 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -30,32 +31,42 @@ namespace bwsim
 
 /**
  * Whole file as bytes; false when unreadable (e.g. concurrently
- * renamed away). Reads are unbuffered, straight into @p out, sized
- * one byte over the file: a file that does not grow meanwhile costs
- * one read(2) for its bytes and one that sees end-of-file, and no
- * byte more than it holds. A file that grew, or one without a size
- * (a pipe), doubles the buffer until a read comes up short.
+ * renamed away). Reads are unbuffered. The first 4 KiB chunk lands
+ * on the stack, so a file that fits -- a cache entry -- costs one
+ * fread() and no stat. Only a file that fills the chunk asks for its
+ * size, and its rest is read straight into @p out, sized one byte
+ * over the file; one that grew meanwhile, or one without a size (a
+ * pipe), doubles the buffer until a read comes up short.
  */
 inline bool
-readFileBytes(const std::filesystem::path &path, std::string &out)
+readFileBytes(const std::string &path, std::string &out)
 {
-    std::FILE *f = std::fopen(path.string().c_str(), "rb");
+    std::FILE *f = std::fopen(path.c_str(), "rb");
     if (!f)
         return false;
     std::setvbuf(f, nullptr, _IONBF, 0);
-    std::error_code ec;
-    const std::uintmax_t size = std::filesystem::file_size(path, ec);
-    out.resize(ec ? 4096 : static_cast<std::size_t>(size) + 1);
-    std::size_t n = 0;
-    for (;;) {
-        n += std::fread(out.data() + n, 1, out.size() - n, f);
-        if (n < out.size())
-            break; // end of file, or an error
-        out.resize(2 * out.size());
+    char chunk[4096];
+    std::size_t n = std::fread(chunk, 1, sizeof(chunk), f);
+    if (n < sizeof(chunk)) {
+        out.assign(chunk, n); // end of file, or an error
+    } else {
+        std::error_code ec;
+        const std::uintmax_t size = std::filesystem::file_size(path, ec);
+        out.resize(ec || size < n ? 2 * n
+                                  : static_cast<std::size_t>(size) + 1);
+        std::memcpy(out.data(), chunk, n);
+        for (;;) {
+            n += std::fread(out.data() + n, 1, out.size() - n, f);
+            if (n < out.size())
+                break; // end of file, or an error
+            out.resize(2 * out.size());
+        }
+        out.resize(n);
     }
     const bool ok = !std::ferror(f);
     std::fclose(f);
-    out.resize(ok ? n : 0);
+    if (!ok)
+        out.clear();
     return ok;
 }
 

@@ -25,12 +25,17 @@
 namespace bwsim
 {
 
-/** FNV-1a 64-bit hash; content checksums and entry file names. */
+/** FNV-1a 64-bit offset basis: the hash of no bytes. */
+constexpr std::uint64_t fnv1a64Basis = 0xcbf29ce484222325ull;
+
+/**
+ * FNV-1a 64-bit hash; content checksums and entry file names. Pass
+ * the hash of the bytes before as @p h to hash a buffer in pieces.
+ */
 inline std::uint64_t
-fnv1a64(const void *data, std::size_t len)
+fnv1a64(const void *data, std::size_t len, std::uint64_t h = fnv1a64Basis)
 {
     const auto *p = static_cast<const unsigned char *>(data);
-    std::uint64_t h = 0xcbf29ce484222325ull;
     for (std::size_t i = 0; i < len; ++i) {
         h ^= p[i];
         h *= 0x100000001b3ull;
@@ -39,9 +44,9 @@ fnv1a64(const void *data, std::size_t len)
 }
 
 inline std::uint64_t
-fnv1a64(std::string_view s)
+fnv1a64(std::string_view s, std::uint64_t h = fnv1a64Basis)
 {
-    return fnv1a64(s.data(), s.size());
+    return fnv1a64(s.data(), s.size(), h);
 }
 
 /** Appends little-endian fields to an in-memory buffer. */
@@ -216,22 +221,23 @@ frameBlob(std::uint32_t magic, std::uint32_t version,
 }
 
 /**
- * Inverse of frameBlob(). True and fill @p payload_out only when the
- * magic and version match, the checksum validates, and no bytes
- * trail the envelope; any truncation or bit flip is a clean false.
+ * Inverse of frameBlob(). True and point @p payload_out into @p data
+ * (no copy: it is valid as long as @p data is) only when the magic
+ * and version match, the checksum validates, and no bytes trail the
+ * envelope; any truncation or bit flip is a clean false.
  */
 inline bool
 unframeBlob(std::uint32_t magic, std::uint32_t version,
-            const std::string &data, std::string &payload_out)
+            std::string_view data, std::string_view &payload_out)
 {
-    ByteReader r(data);
+    ByteReader r(data.data(), data.size());
     if (r.u32() != magic || r.u32() != version)
         return false;
     const std::uint64_t checksum = r.u64();
     const std::string_view payload = r.strView();
     if (!r.ok() || r.remaining() != 0 || fnv1a64(payload) != checksum)
         return false;
-    payload_out.assign(payload);
+    payload_out = payload;
     return true;
 }
 

@@ -1,5 +1,6 @@
 #include "core/disk_cache.hh"
 
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <string_view>
@@ -21,6 +22,22 @@ namespace
 
 constexpr std::uint32_t kMagic = 0x43535742; // 'BWSC' little-endian
 
+/** Length of an entry file name: "sc-", 16 hex digits, ".bin". */
+constexpr std::size_t kEntryNameLen = 23;
+
+/** The entry file name for @p key, sc-<fnv1a64(key) hex>.bin, into
+ *  @p name (not NUL-terminated): the bytes of "sc-%016llx.bin". */
+void
+formatEntryName(const std::string &key, char (&name)[kEntryNameLen])
+{
+    static constexpr char hex[] = "0123456789abcdef";
+    std::uint64_t h = fnv1a64(key);
+    std::memcpy(name, "sc-", 3);
+    for (std::size_t i = 3 + 16; i-- > 3; h >>= 4)
+        name[i] = hex[h & 0xf];
+    std::memcpy(name + 3 + 16, ".bin", 4);
+}
+
 } // anonymous namespace
 
 DiskSimCache::DiskSimCache(std::string dir) : dirPath(std::move(dir))
@@ -30,19 +47,35 @@ DiskSimCache::DiskSimCache(std::string dir) : dirPath(std::move(dir))
     if (ec || !fs::is_directory(dirPath))
         fatal("cache dir '%s' cannot be created: %s", dirPath.c_str(),
               ec.message().c_str());
+    entryDir = dirPath;
+    if (entryDir.back() != '/')
+        entryDir += '/';
 }
 
 std::string
 DiskSimCache::fileNameFor(const std::string &key)
 {
-    return csprintf("sc-%016llx.bin",
-                    static_cast<unsigned long long>(fnv1a64(key)));
+    char name[kEntryNameLen];
+    formatEntryName(key, name);
+    return std::string(name, sizeof(name));
+}
+
+std::string
+DiskSimCache::entryPath(const std::string &key) const
+{
+    char name[kEntryNameLen];
+    formatEntryName(key, name);
+    std::string path;
+    path.reserve(entryDir.size() + sizeof(name));
+    path += entryDir;
+    path.append(name, sizeof(name));
+    return path;
 }
 
 bool
 DiskSimCache::load(const std::string &key, SimResult &out) const
 {
-    const fs::path path = fs::path(dirPath) / fileNameFor(key);
+    const std::string path = entryPath(key);
 
     std::string data;
     if (!readFileBytes(path, data)) {
@@ -58,7 +91,7 @@ DiskSimCache::load(const std::string &key, SimResult &out) const
     if (data.empty()) {
         warn("cache dir '%s': zero-length entry '%s' (interrupted "
              "write?); treating as a miss",
-             dirPath.c_str(), fileNameFor(key).c_str());
+             dirPath.c_str(), path.c_str() + entryDir.size());
         ++missCount;
         return false;
     }
@@ -114,10 +147,10 @@ DiskSimCache::store(const std::string &key, const SimResult &r) const
     // previous entry or this one, never a partial file. Last
     // concurrent writer wins, which is fine -- all writers of a key
     // persist identical bytes.
-    const fs::path final_path = fs::path(dirPath) / fileNameFor(key);
-    if (!atomicWriteFile(final_path, w.bytes())) {
+    const std::string path = entryPath(key);
+    if (!atomicWriteFile(path, w.bytes())) {
         warn("cache dir '%s': cannot persist '%s'", dirPath.c_str(),
-             final_path.filename().c_str());
+             path.c_str() + entryDir.size());
         return false;
     }
     ++storeCount;

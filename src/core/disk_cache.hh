@@ -75,7 +75,12 @@ class DiskSimCache
     /**@}*/
 
   private:
+    /** entryDir + fileNameFor(key), joined without fs::path. */
+    std::string entryPath(const std::string &key) const;
+
     std::string dirPath;
+    /** dirPath with one trailing '/': every entry path's prefix. */
+    std::string entryDir;
     mutable std::atomic<std::uint64_t> hitCount{0};
     mutable std::atomic<std::uint64_t> missCount{0};
     mutable std::atomic<std::uint64_t> rejectCount{0};

@@ -24,6 +24,10 @@ struct RunSpec
 {
     WorkloadSpec workload;
     GpuConfig config;
+    /** SimCache::keyOf(workload, config) when the caller already
+     *  built it (a batch builds each key half once); empty means
+     *  SimCache::runAll() derives it. */
+    std::string key{};
 };
 
 /** Run a single simulation to completion. */

@@ -76,27 +76,6 @@ backendSlot()
     return slot;
 }
 
-/**
- * Run every (profile, config) pair through the process-wide execution
- * backend (by default a CachingBackend over the global SimCache) in one
- * batch, so a multi-process backend sees the whole experiment at once.
- * Figures sharing pairs -- above all the baseline runs -- simulate
- * them once per driver invocation, and once per cache directory when
- * a disk tier is attached. The result of profile b on config c is at
- * [c * profiles.size() + b].
- */
-std::vector<SimResult>
-runConfigs(const std::vector<WorkloadSpec> &profiles,
-           const std::vector<GpuConfig> &configs, int threads)
-{
-    std::vector<RunSpec> specs;
-    specs.reserve(configs.size() * profiles.size());
-    for (const auto &cfg : configs)
-        for (const auto &p : profiles)
-            specs.push_back({p, cfg});
-    return executionBackend().runAll(specs, threads);
-}
-
 /** True when any workload is not a plain synthetic profile -- the
  *  tables then carry a key column to keep rows unambiguous. */
 bool
@@ -331,6 +310,26 @@ selectBenchmarks(const ExperimentOptions &opts)
             if (s.kind == WorkloadKind::Synthetic)
                 s.profile = shrinkProfile(s.profile, opts.shrink);
     return out;
+}
+
+std::vector<SimResult>
+runConfigs(const std::vector<WorkloadSpec> &profiles,
+           const std::vector<GpuConfig> &configs, int threads)
+{
+    std::vector<std::string> workload_keys;
+    workload_keys.reserve(profiles.size());
+    for (const auto &p : profiles)
+        workload_keys.push_back(p.cacheKey());
+    std::vector<RunSpec> specs;
+    specs.reserve(configs.size() * profiles.size());
+    for (const auto &cfg : configs) {
+        const std::string config_key = cfg.cacheKey();
+        for (std::size_t b = 0; b < profiles.size(); ++b)
+            specs.push_back({profiles[b], cfg,
+                             SimCache::joinKey(workload_keys[b],
+                                               config_key)});
+    }
+    return executionBackend().runAll(specs, threads);
 }
 
 std::vector<SimResult>

@@ -109,6 +109,20 @@ void setExecutionBackend(std::unique_ptr<ExecutionBackend> backend);
  */
 void configureExecution(const ExperimentOptions &opts);
 
+/**
+ * Run every (profile, config) pair through the process-wide execution
+ * backend (by default a CachingBackend over the global SimCache) in one
+ * batch, so a multi-process backend sees the whole experiment at once.
+ * Each workload and config key half is built once per batch and each
+ * spec carries its joined key. Figures sharing pairs -- above all the
+ * baseline runs -- simulate them once per driver invocation, and once
+ * per cache directory when a disk tier is attached. The result of
+ * profile b on config c is at [c * profiles.size() + b].
+ */
+std::vector<SimResult> runConfigs(const std::vector<WorkloadSpec> &profiles,
+                                  const std::vector<GpuConfig> &configs,
+                                  int threads);
+
 /** One baseline run per benchmark; reused by several figures. */
 std::vector<SimResult> baselineResults(const ExperimentOptions &opts);
 

@@ -15,9 +15,16 @@ SimCache::global()
 std::string
 SimCache::keyOf(const WorkloadSpec &workload, const GpuConfig &config)
 {
-    std::string key = workload.cacheKey();
-    const std::string config_key = config.cacheKey();
-    key.reserve(key.size() + 1 + config_key.size());
+    return joinKey(workload.cacheKey(), config.cacheKey());
+}
+
+std::string
+SimCache::joinKey(const std::string &workload_key,
+                  const std::string &config_key)
+{
+    std::string key;
+    key.reserve(workload_key.size() + 1 + config_key.size());
+    key += workload_key;
     key += '\n';
     key += config_key;
     return key;
@@ -78,16 +85,28 @@ SimCache::runAll(const std::vector<RunSpec> &specs, int threads)
 {
     std::vector<SimResult> out(specs.size());
 
+    // Each spec's key: the one it carries, else one derived here,
+    // outside the lock. Everything below indexes into specs and keys
+    // rather than copying them: a whole experiment can be one batch.
+    std::vector<std::string> derived(specs.size());
+    std::vector<const std::string *> keys(specs.size());
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+        if (specs[i].key.empty()) {
+            derived[i] = keyOf(specs[i].workload, specs[i].config);
+            keys[i] = &derived[i];
+        } else {
+            keys[i] = &specs[i].key;
+        }
+    }
+
     // Resolve memory hits, claim the distinct missing keys, and note
     // keys a concurrent runAll() already claimed (we wait for those
-    // instead of re-simulating). Everything below indexes into specs
-    // and keys rather than copying them: a whole experiment can be one
-    // batch.
-    std::vector<std::string> keys(specs.size());
+    // instead of re-simulating).
     std::vector<std::size_t> claimed; // spec indices whose keys we claimed
     std::vector<std::size_t> dups;    // later specs with a claimed key
     std::vector<std::size_t> waiting; // spec indices another call runs
-    // Views into keys, whose strings stay put: the vector never grows.
+    // Views into specs and derived, whose strings stay put: neither
+    // vector grows.
     std::unordered_map<std::string_view, std::size_t> first_miss;
     std::shared_ptr<DiskSimCache> disk_tier;
     std::shared_ptr<ExecutionBackend> backend;
@@ -96,23 +115,23 @@ SimCache::runAll(const std::vector<RunSpec> &specs, int threads)
         disk_tier = disk;
         backend = simBackend;
         for (std::size_t i = 0; i < specs.size(); ++i) {
-            keys[i] = keyOf(specs[i].workload, specs[i].config);
-            auto it = results.find(keys[i]);
+            const std::string &key = *keys[i];
+            auto it = results.find(key);
             if (it != results.end()) {
                 out[i] = it->second;
                 ++hitCount;
                 continue;
             }
-            if (first_miss.count(keys[i])) {
+            if (first_miss.count(key)) {
                 dups.push_back(i);
                 continue;
             }
-            if (inFlight.count(keys[i])) {
+            if (inFlight.count(key)) {
                 waiting.push_back(i);
                 continue;
             }
-            first_miss.emplace(keys[i], i);
-            inFlight.insert(keys[i]);
+            first_miss.emplace(key, i);
+            inFlight.insert(key);
             claimed.push_back(i);
         }
     }
@@ -124,7 +143,7 @@ SimCache::runAll(const std::vector<RunSpec> &specs, int threads)
         std::vector<RunSpec> to_sim;
         std::vector<std::size_t> sim_idx;
         for (std::size_t i : claimed) {
-            if (disk_tier && disk_tier->load(keys[i], out[i])) {
+            if (disk_tier && disk_tier->load(*keys[i], out[i])) {
                 ++disk_hits;
             } else {
                 to_sim.push_back(specs[i]);
@@ -141,12 +160,13 @@ SimCache::runAll(const std::vector<RunSpec> &specs, int threads)
             } catch (...) {
                 std::lock_guard<std::mutex> lock(mu);
                 for (std::size_t i : claimed)
-                    inFlight.erase(keys[i]);
+                    inFlight.erase(*keys[i]);
                 cv.notify_all();
                 throw;
             }
             for (std::size_t j = 0; j < sim_idx.size(); ++j) {
-                if (disk_tier && disk_tier->store(keys[sim_idx[j]], fresh[j]))
+                if (disk_tier &&
+                    disk_tier->store(*keys[sim_idx[j]], fresh[j]))
                     ++disk_stores;
                 out[sim_idx[j]] = std::move(fresh[j]);
             }
@@ -154,14 +174,14 @@ SimCache::runAll(const std::vector<RunSpec> &specs, int threads)
 
         std::lock_guard<std::mutex> lock(mu);
         for (std::size_t i : claimed) {
-            results.emplace(keys[i], out[i]);
-            inFlight.erase(keys[i]);
+            results.emplace(*keys[i], out[i]);
+            inFlight.erase(*keys[i]);
         }
         runCount += to_sim.size();
         diskHitCount += disk_hits;
         diskStoreCount += disk_stores;
         for (std::size_t i : dups)
-            out[i] = out[first_miss.at(keys[i])];
+            out[i] = out[first_miss.at(*keys[i])];
         cv.notify_all();
     }
 
@@ -169,10 +189,10 @@ SimCache::runAll(const std::vector<RunSpec> &specs, int threads)
         std::unique_lock<std::mutex> lock(mu);
         for (std::size_t i : waiting) {
             cv.wait(lock, [&] {
-                return results.count(keys[i]) > 0 ||
-                       inFlight.count(keys[i]) == 0;
+                return results.count(*keys[i]) > 0 ||
+                       inFlight.count(*keys[i]) == 0;
             });
-            auto it = results.find(keys[i]);
+            auto it = results.find(*keys[i]);
             if (it != results.end()) {
                 out[i] = it->second;
                 ++hitCount;
@@ -180,21 +200,21 @@ SimCache::runAll(const std::vector<RunSpec> &specs, int threads)
             }
             // The producing call failed, or clear() dropped the result
             // before we woke: resolve it ourselves.
-            inFlight.insert(keys[i]);
+            inFlight.insert(*keys[i]);
             lock.unlock();
             SimResult r;
             bool from_disk =
-                disk_tier && disk_tier->load(keys[i], r);
+                disk_tier && disk_tier->load(*keys[i], r);
             if (!from_disk) {
                 try {
                     r = simulate(backend, {specs[i]}, 1).front();
                 } catch (...) {
                     lock.lock();
-                    inFlight.erase(keys[i]);
+                    inFlight.erase(*keys[i]);
                     cv.notify_all();
                     throw;
                 }
-                if (disk_tier && disk_tier->store(keys[i], r)) {
+                if (disk_tier && disk_tier->store(*keys[i], r)) {
                     lock.lock();
                     ++diskStoreCount;
                     lock.unlock();
@@ -205,8 +225,8 @@ SimCache::runAll(const std::vector<RunSpec> &specs, int threads)
                 ++diskHitCount;
             else
                 ++runCount;
-            results.emplace(keys[i], r);
-            inFlight.erase(keys[i]);
+            results.emplace(*keys[i], r);
+            inFlight.erase(*keys[i]);
             out[i] = r;
             cv.notify_all();
         }

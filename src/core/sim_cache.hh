@@ -50,7 +50,8 @@ class SimCache
      * disk tier) and simulating the rest with up to @p threads host
      * threads (0 = hardware concurrency). Duplicate specs within one
      * batch are simulated only once. Results are returned in spec
-     * order.
+     * order. A spec's non-empty RunSpec::key is trusted to be its
+     * keyOf(); an empty one is derived here.
      */
     std::vector<SimResult> runAll(const std::vector<RunSpec> &specs,
                                   int threads = 0);
@@ -89,6 +90,12 @@ class SimCache
      */
     static std::string keyOf(const WorkloadSpec &workload,
                              const GpuConfig &config);
+
+    /** keyOf() from its two halves, already built: a batch that
+     *  crosses W workloads with C configs builds W + C halves, not
+     *  2 * W * C. */
+    static std::string joinKey(const std::string &workload_key,
+                               const std::string &config_key);
 
     /** @name Counters (tests assert baseline runs exactly once) */
     /**@{*/

@@ -3,10 +3,10 @@
 #include <algorithm>
 #include <charconv>
 #include <fstream>
-#include <sstream>
 #include <string_view>
 #include <vector>
 
+#include "common/atomic_file.hh"
 #include "common/log.hh"
 #include "common/serdes.hh"
 #include "workloads/trace_gen.hh"
@@ -26,7 +26,7 @@ constexpr std::size_t canonRecordBytes = 13;
  * match @p tagged.
  */
 bool
-decodeCanonicalRecords(const std::string &canon, bool tagged,
+decodeCanonicalRecords(std::string_view canon, bool tagged,
                        std::vector<TraceRecord> &out)
 {
     if (canon.size() % canonRecordBytes != 0)
@@ -34,7 +34,7 @@ decodeCanonicalRecords(const std::string &canon, bool tagged,
     const std::size_t count = canon.size() / canonRecordBytes;
     out.clear();
     out.resize(count);
-    ByteReader r(canon);
+    ByteReader r(canon.data(), canon.size());
     for (std::size_t i = 0; i < count; ++i) {
         const std::uint8_t op = r.u8();
         if (op > 1)
@@ -234,10 +234,10 @@ packTrace(const TraceData &t)
 }
 
 bool
-unpackTrace(const std::string &bytes, const std::string &name,
+unpackTrace(std::string_view bytes, const std::string &name,
             TraceData &out, std::string &err)
 {
-    std::string payload;
+    std::string_view payload;
     if (!unframeBlob(traceFileMagic, traceFileVersion, bytes, payload)) {
         err = csprintf("%s: not a packed trace (bad magic, version, "
                        "checksum, or truncated)",
@@ -246,11 +246,11 @@ unpackTrace(const std::string &bytes, const std::string &name,
     }
     out = TraceData();
     out.sourceName = name;
-    ByteReader r(payload);
+    ByteReader r(payload.data(), payload.size());
     out.ctaTagged = r.u8() != 0;
     const std::uint64_t stored_hash = r.u64();
     const std::uint64_t count = r.u64();
-    const std::string canon = r.str();
+    const std::string_view canon = r.strView();
     if (!r.ok() || r.remaining() != 0 ||
         canon.size() != count * canonRecordBytes ||
         !decodeCanonicalRecords(canon, out.ctaTagged, out.records)) {
@@ -293,10 +293,15 @@ loadTraceFile(const std::string &path, std::string &err)
 
     auto t = std::make_shared<TraceData>();
     if (in.gcount() == 4 && head == traceFileMagic) {
-        std::ostringstream rest;
-        rest.write(magic, 4);
-        rest << in.rdbuf();
-        if (!unpackTrace(rest.str(), name, *t, err))
+        // One read into one buffer; the records decode from it in
+        // place.
+        in.close();
+        std::string bytes;
+        if (!readFileBytes(path, bytes)) {
+            err = csprintf("cannot read trace file '%s'", path.c_str());
+            return nullptr;
+        }
+        if (!unpackTrace(bytes, name, *t, err))
             return nullptr;
         return t;
     }

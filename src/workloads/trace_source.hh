@@ -40,6 +40,7 @@
 #include <iosfwd>
 #include <memory>
 #include <string>
+#include <string_view>
 
 #include "smcore/isa.hh"
 #include "workloads/workload_spec.hh"
@@ -72,7 +73,7 @@ std::string packTrace(const TraceData &t);
  * Inverse of packTrace(). False with a diagnostic in @p err on a bad
  * envelope, truncation, or a content-hash mismatch.
  */
-bool unpackTrace(const std::string &bytes, const std::string &name,
+bool unpackTrace(std::string_view bytes, const std::string &name,
                  TraceData &out, std::string &err);
 
 /**

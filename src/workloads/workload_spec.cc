@@ -14,23 +14,24 @@
 namespace bwsim
 {
 
+namespace
+{
+
+/** canonicalTraceBytes() of the @p n records at @p recs. */
 std::string
-canonicalTraceBytes(const TraceData &t)
+canonicalBytes(const TraceRecord *recs, std::size_t n)
 {
     ByteWriter w;
-    for (const auto &r : t.records) {
-        w.u8(r.op == Op::Store ? 1 : 0);
-        w.u64(r.addr);
+    for (std::size_t i = 0; i < n; ++i) {
+        w.u8(recs[i].op == Op::Store ? 1 : 0);
+        w.u64(recs[i].addr);
         // -1 (untagged) encodes as 0 so tagged/untagged never collide.
         // Unsigned arithmetic, here and when decoding: any cta a
         // corrupt payload decodes to must re-encode without overflow.
-        w.u32(static_cast<std::uint32_t>(r.cta) + 1u);
+        w.u32(static_cast<std::uint32_t>(recs[i].cta) + 1u);
     }
     return std::move(w).take();
 }
-
-namespace
-{
 
 /**
  * Record indices of a tagged trace stably sorted by tag: an LSD radix
@@ -68,6 +69,12 @@ indexByCta(const std::vector<TraceRecord> &recs)
 
 } // anonymous namespace
 
+std::string
+canonicalTraceBytes(const TraceData &t)
+{
+    return canonicalBytes(t.records.data(), t.records.size());
+}
+
 void
 sealTrace(TraceData &t)
 {
@@ -75,7 +82,15 @@ sealTrace(TraceData &t)
                      std::numeric_limits<std::uint32_t>::max(),
                  "sealTrace: %zu records overflow the CTA index",
                  t.records.size());
-    t.contentHash = fnv1a64(canonicalTraceBytes(t));
+    // fnv1a64(canonicalTraceBytes(t)), a slice of records at a time:
+    // the whole encoding would cost 13 B per record at peak.
+    constexpr std::size_t slice = 4096;
+    std::uint64_t h = fnv1a64Basis;
+    for (std::size_t i = 0; i < t.records.size(); i += slice)
+        h = fnv1a64(canonicalBytes(t.records.data() + i,
+                                   std::min(slice, t.records.size() - i)),
+                    h);
+    t.contentHash = h;
     t.byCta.clear();
     if (t.ctaTagged)
         t.byCta = indexByCta(t.records);

@@ -8,8 +8,10 @@
 
 #include <filesystem>
 #include <iterator>
+#include <memory>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cli/cli.hh"
@@ -307,7 +309,94 @@ TEST(Cli, UsageMentionsTheExecutionFlags)
         EXPECT_NE(out.find(flag), std::string::npos) << flag;
 }
 
+namespace
+{
+
+/** The caching front, checking every key a batch hands it. */
+class KeyProbe : public ExecutionBackend
+{
+  public:
+    struct Counts
+    {
+        std::size_t specs = 0;
+        std::size_t keyed = 0;
+        std::size_t mismatched = 0;
+    };
+
+    explicit KeyProbe(Counts &counts) : counts(counts) {}
+
+    std::string name() const override { return "key-probe"; }
+
+    std::vector<SimResult>
+    runAll(const std::vector<RunSpec> &specs, int threads) override
+    {
+        for (const auto &s : specs) {
+            ++counts.specs;
+            if (s.key.empty())
+                continue;
+            ++counts.keyed;
+            if (s.key != SimCache::keyOf(s.workload, s.config))
+                ++counts.mismatched;
+        }
+        return inner.runAll(specs, threads);
+    }
+
+  private:
+    Counts &counts;
+    CachingBackend inner{SimCache::global()};
+};
+
+} // namespace
+
+TEST(Cli, EveryExperimentBatchCarriesItsSimCacheKeys)
+{
+    // Batches build each workload and config key half once and hand
+    // each spec its joined key, which SimCache then trusts: a key
+    // that is not keyOf() would file results under the wrong pair.
+    std::vector<const char *> args;
+    for (const auto &e : cli::experimentRegistry())
+        args.push_back(e.name.c_str());
+    for (const char *flag : {"--benches=bfs,lbm", "--shrink=16",
+                             "--threads=2"})
+        args.push_back(flag);
+
+    KeyProbe::Counts counts;
+    SimCache::global().clear();
+    exp::setExecutionBackend(std::make_unique<KeyProbe>(counts));
+    std::string out, err;
+    const int rc = runCli(args, out, err);
+    exp::setExecutionBackend(nullptr);
+    SimCache::global().clear();
+    ASSERT_EQ(rc, 0) << err;
+
+    EXPECT_NE(out.find("=== Ablation"), std::string::npos);
+    EXPECT_GT(counts.specs, 0u);
+    EXPECT_EQ(counts.keyed, counts.specs) << "a batch left keys empty";
+    EXPECT_EQ(counts.mismatched, 0u);
+}
+
 #ifdef __unix__
+TEST(Cli, ExecStatsNamesTheBackendThatSimulated)
+{
+    for (const auto &[flag, backend] :
+         {std::pair{"--threads=2", "backend=threaded\n"},
+          std::pair{"--jobs=2", "backend=fork\n"}}) {
+        SimCache::global().clear();
+        std::string out, err;
+        ASSERT_EQ(runCli({"fig4", "--benches=bfs", "--shrink=16", flag,
+                          "--exec-stats"},
+                         out, err),
+                  0)
+            << err;
+        EXPECT_NE(err.find("exec stats: sims=1 "), std::string::npos)
+            << flag << "\n" << err;
+        EXPECT_NE(err.find(backend), std::string::npos)
+            << flag << "\n" << err;
+    }
+    SimCache::global().clear();
+    exp::configureExecution(exp::ExperimentOptions{});
+}
+
 TEST(Cli, JobsMatchesTheSingleProcessRun)
 {
     // --jobs=2 forks copies of this process (no re-exec), so it runs

@@ -193,6 +193,27 @@ TEST(DiskSimCache, StoreLoadRoundTrip)
     EXPECT_EQ(cache.rejected(), 0u);
 }
 
+TEST(DiskSimCache, EntryLargerThanTheFirstReadChunkRoundTrips)
+{
+    // An entry is read into a 4 KiB stack chunk first, and the file
+    // size is asked for only when that chunk fills. A workload name
+    // of 5,000 characters puts this entry past it.
+    DiskSimCache cache(freshDir("large-entry"));
+    BenchmarkProfile p = makeTestProfile("tiny-compute");
+    p.name = std::string(5000, 'w');
+    const std::string key = SimCache::keyOf(p, GpuConfig::baseline());
+    SimResult orig = sampleResult();
+    orig.benchmark = p.name;
+
+    ASSERT_TRUE(cache.store(key, orig));
+    EXPECT_GT(fs::file_size(entryPathFor(cache, key)), 2 * 4096u);
+    SimResult back;
+    ASSERT_TRUE(cache.load(key, back));
+    expectIdentical(orig, back);
+    EXPECT_EQ(cache.loadHits(), 1u);
+    EXPECT_EQ(cache.rejected(), 0u);
+}
+
 TEST(DiskSimCache, MissingKeyIsMiss)
 {
     DiskSimCache cache(freshDir("missing"));

@@ -142,7 +142,7 @@ TEST(FuzzSerdes, FramedBlobRoundTripsAndRejectsTampering)
             static_cast<std::uint32_t>(rng.next());
         const std::string framed = frameBlob(magic, version, payload);
 
-        std::string back;
+        std::string_view back;
         ASSERT_TRUE(unframeBlob(magic, version, framed, back));
         EXPECT_EQ(back, payload);
         EXPECT_FALSE(unframeBlob(magic + 1, version, framed, back));

@@ -46,6 +46,25 @@ def report(rates, probe=2.0, speedups=None):
     }
 
 
+def with_counts(rep, **counts):
+    """Set exact work counts on every row of @p rep; returns @p rep.
+
+    core_cycles sits at the top of a row, the rest in its skip section,
+    as `bwsim perf` writes them.
+    """
+    for row in rep["profiles"]:
+        for field, value in counts.items():
+            if field == "core_cycles":
+                row[field] = value
+            else:
+                row.setdefault("skip", {})[field] = value
+    return rep
+
+
+COUNTS = {"core_cycles": 8768, "ticked_edges": 18939, "sm_slept": 127930,
+          "l2_slept": 48895, "dram_slept": 31885}
+
+
 class PerfCheckTest(unittest.TestCase):
 
     def run_check(self, fresh, base, env=None):
@@ -222,6 +241,80 @@ class PerfCheckTest(unittest.TestCase):
         self.assertIsNone(perf_check.skip_speedup({}))
         self.assertIsNone(
             perf_check.skip_speedup({"speedup": math.nan}))
+
+    def exact_check(self, fresh_counts, env=None):
+        """Compare one row carrying @p fresh_counts with COUNTS."""
+        return self.run_check(
+            with_counts(report({"mm": 100.0}), **fresh_counts),
+            with_counts(report({"mm": 100.0}), **COUNTS), env=env)
+
+    def test_identical_exact_counts_pass(self):
+        rc, out = self.exact_check(COUNTS)
+        self.assertEqual(rc, 0)
+        self.assertIn("perf_check: OK", out)
+        self.assertNotIn("EXACT", out)
+
+    def test_moved_cycles_or_edges_fail_even_soft(self):
+        # Both directions: fewer cycles or edges is a behaviour change
+        # too, not a speed-up of the same work.
+        for field in ("core_cycles", "ticked_edges"):
+            for delta in (1, -1):
+                moved = dict(COUNTS, **{field: COUNTS[field] + delta})
+                for env in (None, {"BWSIM_PERF_SOFT": "1"}):
+                    rc, out = self.exact_check(moved, env=env)
+                    self.assertEqual(rc, 1, f"{field} {delta:+d} {env}")
+                    self.assertIn(f"mm: {field} ", out)
+                    self.assertIn("EXACT", out)
+
+    def test_fewer_slept_ticks_fail_even_soft(self):
+        for field in ("sm_slept", "l2_slept", "dram_slept"):
+            fewer = dict(COUNTS, **{field: COUNTS[field] - 1})
+            for env in (None, {"BWSIM_PERF_SOFT": "1"}):
+                rc, out = self.exact_check(fewer, env=env)
+                self.assertEqual(rc, 1, f"{field} {env}")
+                self.assertIn(f"mm: {field} ", out)
+                self.assertIn("sleep engages less", out)
+
+    def test_more_slept_ticks_pass(self):
+        for field in ("sm_slept", "l2_slept", "dram_slept"):
+            more = dict(COUNTS, **{field: COUNTS[field] + 1})
+            rc, out = self.exact_check(more)
+            self.assertEqual(rc, 0, field)
+            self.assertNotIn("EXACT", out)
+
+    def test_soft_mode_still_softens_rates_when_counts_match(self):
+        rc, out = self.run_check(
+            with_counts(report({"mm": 50.0}), **COUNTS),
+            with_counts(report({"mm": 100.0}), **COUNTS),
+            env={"BWSIM_PERF_SOFT": "1"})
+        self.assertEqual(rc, 0)
+        self.assertIn("REGRESSED", out)
+        self.assertIn("not failing the build", out)
+
+    def test_exact_counts_compared_only_where_both_have_them(self):
+        # A row or a field that only one report carries is not
+        # compared.
+        fresh = with_counts(report({"mm": 100.0, "lbm": 100.0}),
+                            **COUNTS)
+        base = with_counts(report({"mm": 100.0}), **COUNTS)
+        del base["profiles"][0]["skip"]["ticked_edges"]
+        fresh["profiles"][0]["core_cycles"] = 1
+        base["profiles"][0].pop("core_cycles")
+        rc, out = self.run_check(fresh, base)
+        self.assertEqual(rc, 0, out)
+        self.assertNotIn("EXACT", out)
+
+    def test_exact_count_helper(self):
+        row = with_counts(report({"mm": 1.0}), **COUNTS)["profiles"][0]
+        self.assertEqual(perf_check.exact_count(row, ("core_cycles",)),
+                         8768)
+        self.assertEqual(
+            perf_check.exact_count(row, ("skip", "sm_slept")), 127930)
+        self.assertIsNone(perf_check.exact_count(row, ("lockstep", "x")))
+        for bad in (1.5, True, "7", None):
+            row["core_cycles"] = bad
+            self.assertIsNone(
+                perf_check.exact_count(row, ("core_cycles",)), repr(bad))
 
     def test_usable_rate_predicate(self):
         self.assertTrue(perf_check.usable_rate(1.0))

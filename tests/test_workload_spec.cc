@@ -25,7 +25,9 @@
 #include <algorithm>
 #include <cctype>
 #include <cerrno>
+#include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <memory>
 #include <numeric>
 #include <sstream>
@@ -305,6 +307,44 @@ TEST(TraceParser, BinaryEnvelopeRejectsTruncationAndCorruption)
     flipped[packed.size() / 2] ^= 0x20;
     TraceData junk;
     EXPECT_FALSE(unpackTrace(flipped, "flip.bwtr", junk, err));
+}
+
+TEST(TraceParser, LargePackedFileLoadsFromOneReadWithItsHash)
+{
+    // 10,007 tagged records: sealTrace() hashes the canonical bytes
+    // 4,096 records at a time, ending on a partial slice, and the
+    // 130 KB packed file overflows readFileBytes()' first 4 KiB chunk.
+    TraceData t;
+    t.ctaTagged = true;
+    Rng rng(31);
+    for (int i = 0; i < 10007; ++i) {
+        TraceRecord r;
+        r.op = rng.chance(0.3) ? Op::Store : Op::Load;
+        r.addr = rng.next();
+        r.cta = static_cast<std::int32_t>(rng.below(97));
+        t.records.push_back(r);
+    }
+    sealTrace(t);
+    EXPECT_EQ(t.contentHash, fnv1a64(canonicalTraceBytes(t)));
+
+    const std::string path = ::testing::TempDir() + "bwsim-large.bwtr";
+    {
+        std::ofstream f(path, std::ios::binary | std::ios::trunc);
+        const std::string bytes = packTrace(t);
+        f.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    }
+    std::string err;
+    const auto back = loadTraceFile(path, err);
+    std::remove(path.c_str());
+    ASSERT_NE(back, nullptr) << err;
+    EXPECT_EQ(back->contentHash, t.contentHash);
+    EXPECT_EQ(back->byCta, t.byCta);
+    ASSERT_EQ(back->records.size(), t.records.size());
+    for (std::size_t i = 0; i < t.records.size(); ++i) {
+        EXPECT_EQ(back->records[i].op, t.records[i].op) << i;
+        EXPECT_EQ(back->records[i].addr, t.records[i].addr) << i;
+        EXPECT_EQ(back->records[i].cta, t.records[i].cta) << i;
+    }
 }
 
 // ---------------------------------------------------------------------
