@@ -30,8 +30,7 @@ run_tests() {
 # that stays inside the vector's allocated capacity.
 asan() {
     cmake -B build-asan -S . -DBWSIM_SANITIZE=address,undefined \
-        -DCMAKE_CXX_FLAGS=-D_GLIBCXX_ASSERTIONS \
-        -DBWSIM_BUILD_EXAMPLES=OFF
+        -DCMAKE_CXX_FLAGS=-D_GLIBCXX_ASSERTIONS
     cmake --build build-asan -j "$(nproc)"
     UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
         ctest --test-dir build-asan --output-on-failure \

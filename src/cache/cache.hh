@@ -259,7 +259,6 @@ class CacheModel
         return respQ.ready(now);
     }
     std::size_t respQueueSize() const { return respQ.size(); }
-    std::size_t respQueueCapacity() const { return respQ.capacity(); }
     /** Ready time of the head response (requires non-empty). */
     Cycle respQueueFrontReady() const { return respQ.frontReady(); }
     MemFetch *respQueuePop() { ++ver; return respQ.pop(); }
@@ -289,7 +288,6 @@ class CacheModel
 
     /** In-flight fills currently tracked (for tests). */
     std::size_t mshrSize() const { return mshr.size(); }
-    std::size_t mshrWaiters() const { return mshr.totalWaiters(); }
     std::uint32_t reservedLines() const { return tags.reservedLines(); }
     bool lineValid(Addr addr) const { return tags.isValid(addr); }
 

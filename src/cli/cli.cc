@@ -124,6 +124,24 @@ runFig5(const exp::ExperimentOptions &opts, std::ostream &os)
 }
 
 void
+runFig6(const exp::ExperimentOptions &opts, std::ostream &os)
+{
+    heading(opts, os,
+            "=== Fig. 6: structural hazard at the L1 MSHRs (6-cycle miss, "
+            "4-cycle ALU op) ===");
+    heading(opts, os, "\nMSHR size: 2 (structural hazard at I3)");
+    emit(opts, os, exp::fig6StructuralHazard(2));
+    heading(opts, os, "\nMSHR size: 2+ (no structural limitation)");
+    emit(opts, os, exp::fig6StructuralHazard(8));
+    note(opts, os,
+         "\nWith 2 MSHRs, I3 blocks the pipeline until the first fill\n"
+         "frees an entry: the I4 hit and the independent multiply are\n"
+         "serialized behind the misses (higher hit latency, restricted\n"
+         "parallelism). With enough MSHRs every instruction issues\n"
+         "back to back -- exactly the paper's Fig. 6 contrast.\n");
+}
+
+void
 runFig7(const exp::ExperimentOptions &opts, std::ostream &os)
 {
     heading(opts, os, "=== Fig. 7: issue-stall distribution (%) ===");
@@ -176,7 +194,7 @@ runFig11(const exp::ExperimentOptions &opts, std::ostream &os)
     emit(opts, os, t.table);
     note(opts, os,
          "\n(simulated stand-in for the paper's real-GPU "
-         "experiment; see DESIGN.md)\n");
+         "experiment)\n");
 }
 
 void
@@ -901,6 +919,7 @@ experimentRegistry()
         {"fig3", "Fig. 3: IPC vs. fixed L1 miss latency", runFig3},
         {"fig4", "Fig. 4: L2 access queue occupancy", runFig4},
         {"fig5", "Fig. 5: DRAM access queue occupancy", runFig5},
+        {"fig6", "Fig. 6: structural hazard of a 2-entry L1 MSHR", runFig6},
         {"sec4", "Sec. IV-B1: DRAM bandwidth efficiency", runSec4},
         {"fig7", "Fig. 7: issue-stall distribution", runFig7},
         {"fig8", "Fig. 8: L2 stall distribution", runFig8},
@@ -924,21 +943,6 @@ findExperiment(const std::string &name)
         if (e.name == name)
             return &e;
     return nullptr;
-}
-
-int
-runExperiment(const std::string &name, const exp::ExperimentOptions &opts,
-              std::ostream &out, std::ostream &err)
-{
-    const Experiment *e = findExperiment(name);
-    if (!e) {
-        err << "bwsim: unknown experiment '" << name
-            << "' (try --list)\n";
-        return 1;
-    }
-    exp::configureExecution(opts);
-    e->run(opts, out);
-    return 0;
 }
 
 int

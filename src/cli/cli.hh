@@ -45,14 +45,6 @@ const std::vector<Experiment> &experimentRegistry();
 /** Lookup by name; null when unknown. */
 const Experiment *findExperiment(const std::string &name);
 
-/**
- * Run one experiment with explicit options; returns a process exit
- * status (non-zero for an unknown name).
- */
-int runExperiment(const std::string &name,
-                  const exp::ExperimentOptions &opts, std::ostream &out,
-                  std::ostream &err);
-
 /** Full argv-driven entry point behind main(). */
 int cliMain(int argc, const char *const *argv, std::ostream &out,
             std::ostream &err);

@@ -36,8 +36,6 @@ ThreadedBackend::runAll(const std::vector<RunSpec> &specs, int threads)
     if (specs.empty())
         return results;
 
-    if (threads <= 0)
-        threads = defaultThreads;
     unsigned n_threads = threads > 0
                              ? static_cast<unsigned>(threads)
                              : std::max(1u,

@@ -39,25 +39,16 @@ class ExecutionBackend
 };
 
 /**
- * The in-process thread pool (the seed's behaviour, extracted from
- * dse.cc). A per-call @p threads value wins over the constructor
- * default; both treat 0 as hardware concurrency.
+ * The in-process thread pool: up to @p threads host threads per call,
+ * 0 meaning hardware concurrency.
  */
 class ThreadedBackend : public ExecutionBackend
 {
   public:
-    explicit ThreadedBackend(int default_threads = 0)
-        : defaultThreads(default_threads)
-    {
-    }
-
     std::string name() const override { return "threaded"; }
 
     std::vector<SimResult> runAll(const std::vector<RunSpec> &specs,
                                   int threads = 0) override;
-
-  private:
-    int defaultThreads;
 };
 
 /**

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/log.hh"
-#include "core/backend.hh"
 #include "gpu/gpu.hh"
 
 namespace bwsim
@@ -14,13 +13,6 @@ runOne(const WorkloadSpec &workload, const GpuConfig &config)
 {
     Gpu gpu(config, workload);
     return gpu.run();
-}
-
-std::vector<SimResult>
-runAll(const std::vector<RunSpec> &specs, int threads)
-{
-    ThreadedBackend backend;
-    return backend.runAll(specs, threads);
 }
 
 BenchmarkProfile

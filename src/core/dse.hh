@@ -1,8 +1,9 @@
 /**
  * @file
- * Design-space-exploration runner: executes (benchmark, config) pairs,
- * in parallel across host threads, and provides the normalization
- * helpers (speedup over baseline, averages) every figure needs.
+ * Design-space-exploration basics: RunSpec, the one simulation every
+ * ExecutionBackend (core/backend.hh) batches; runOne(), which runs a
+ * single spec to completion; and the helpers every figure needs
+ * (shrunk workloads, averages).
  */
 
 #ifndef BWSIM_CORE_DSE_HH
@@ -32,14 +33,6 @@ struct RunSpec
 
 /** Run a single simulation to completion. */
 SimResult runOne(const WorkloadSpec &workload, const GpuConfig &config);
-
-/**
- * Run every spec, using up to @p threads host threads (0 = hardware
- * concurrency). Results are returned in spec order. Convenience
- * wrapper over ThreadedBackend (core/backend.hh).
- */
-std::vector<SimResult> runAll(const std::vector<RunSpec> &specs,
-                              int threads = 0);
 
 /**
  * Scale a profile down for quick runs (factor >= 1 divides the CTA

@@ -3,6 +3,7 @@
 #include <cerrno>
 #include <climits>
 #include <cstdlib>
+#include <iterator>
 #include <sstream>
 
 #include "cache/cache.hh"
@@ -637,6 +638,98 @@ tab1BaselineConfig()
                  c.dramTiming.tRAS, c.dramTiming.tRP, c.dramTiming.tRC,
                  c.dramTiming.CL, c.dramTiming.WL, c.dramTiming.tCDLR,
                  c.dramTiming.tWR));
+    return t;
+}
+
+stats::TextTable
+fig6StructuralHazard(std::uint32_t mshr_entries)
+{
+    constexpr Cycle kMissLatency = 6;
+    constexpr Cycle kAluLatency = 4;
+    constexpr Cycle kStart = 10; // rows print cycles relative to it
+
+    // A 16 KB, 4-way, write-evict L1 with 128 B lines and a 1-cycle
+    // hit (the CacheParams defaults).
+    MemFetchAllocator alloc;
+    CacheParams p;
+    p.name = "fig6-l1";
+    p.mshrEntries = mshr_entries;
+    p.mshrMaxMerge = 4;
+    CacheModel l1(p, &alloc, 0);
+    std::vector<MshrWaiter> woken;
+
+    // Warm 0x0400 so I4 hits, as in the figure.
+    CacheAccess warm;
+    warm.lineAddr = 0x0400;
+    l1.access(warm, 1, 0.0);
+    MemFetch *warm_fill = l1.missQueuePop();
+    l1.fill(warm_fill, 2, 0.0, woken);
+    alloc.free(warm_fill);
+
+    struct Inst
+    {
+        const char *name;
+        bool isMem;
+        Addr addr;
+    };
+    const Inst stream[] = {{"I1 LD r1,[0x0100]", true, 0x0100},
+                           {"I2 LD r2,[0x0200]", true, 0x0200},
+                           {"I3 LD r3,[0x0300]", true, 0x0300},
+                           {"I4 LD r4,[0x0400]", true, 0x0400},
+                           {"I5 MULT r7,r6,r5", false, 0}};
+    struct PendingFill
+    {
+        MemFetch *mf;
+        Cycle ready;
+    };
+    std::vector<PendingFill> fills;
+
+    stats::TextTable t({"cycle", "event"});
+    auto event = [&t](Cycle now, const std::string &what) {
+        t.newRow().addInt(static_cast<long long>(now - kStart)).add(what);
+    };
+    std::size_t next = 0;
+    for (Cycle now = kStart + 1; next < std::size(stream) || !fills.empty();
+         ++now) {
+        bwsim_assert(now < kStart + 200, "Fig. 6 replay did not drain");
+        for (auto it = fills.begin(); it != fills.end();) {
+            if (it->ready <= now && l1.fill(it->mf, now, 0.0, woken)) {
+                event(now, csprintf("fill 0x%04llx",
+                                    (unsigned long long)it->mf->lineAddr));
+                alloc.free(it->mf);
+                it = fills.erase(it);
+            } else {
+                ++it;
+            }
+        }
+        if (next == std::size(stream))
+            continue;
+        // In-order issue, one instruction per cycle; the memory
+        // pipeline blocks on a stall, like the paper's LSU.
+        const Inst &i = stream[next];
+        if (!i.isMem) {
+            event(now, csprintf("%s issue (done @%llu)", i.name,
+                                (unsigned long long)(now - kStart +
+                                                     kAluLatency)));
+            ++next;
+            continue;
+        }
+        CacheAccess acc;
+        acc.lineAddr = i.addr;
+        acc.warpId = 0;
+        acc.slotId = int(next);
+        CacheOutcome out = l1.access(acc, now, 0.0);
+        if (isStallOutcome(out))
+            continue; // structural hazard: retry next cycle
+        if (out == CacheOutcome::HitServiced) {
+            event(now, csprintf("%s HIT (data @%llu)", i.name,
+                                (unsigned long long)(now - kStart + 1)));
+        } else {
+            event(now, csprintf("%s MISS", i.name));
+            fills.push_back({l1.missQueuePop(), now + kMissLatency});
+        }
+        ++next;
+    }
     return t;
 }
 

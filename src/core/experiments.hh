@@ -2,7 +2,9 @@
  * @file
  * The experiment registry: one function per table/figure of the paper.
  * Each returns a SeriesTable -- a printable TextTable plus the raw
- * numeric grid -- so the bwsim CLI prints it and tests assert on it. The per-experiment index lives in DESIGN.md §4.
+ * numeric grid -- so the bwsim CLI prints it and tests assert on it.
+ * `bwsim --list` prints the per-experiment index (README, "Running
+ * experiments").
  */
 
 #ifndef BWSIM_CORE_EXPERIMENTS_HH
@@ -172,6 +174,14 @@ SeriesTable sec6MitigationSpeedups(const ExperimentOptions &opts);
 /**@{*/
 /** Table I: baseline configuration dump. */
 stats::TextTable tab1BaselineConfig();
+/**
+ * Fig. 6: the worked example of §IV-A4 replayed on one L1 with
+ * @p mshr_entries MSHRs, 6-cycle misses and a 4-cycle ALU op. One row
+ * per issue, hit and fill event, in cycle order: with 2 MSHRs the
+ * third miss blocks the memory pipeline until the first fill frees an
+ * entry.
+ */
+stats::TextTable fig6StructuralHazard(std::uint32_t mshr_entries);
 /** Table III: design-space summary (baseline / scaled / cost-eff). */
 stats::TextTable tab3DesignSpace();
 /** §VII overhead: area of the cost-effective configurations. */

@@ -56,13 +56,6 @@ SimCache::attachDiskTier(const std::string &dir)
     disk = std::move(tier);
 }
 
-std::shared_ptr<const DiskSimCache>
-SimCache::diskTier() const
-{
-    std::lock_guard<std::mutex> lock(mu);
-    return disk;
-}
-
 void
 SimCache::setSimulationBackend(std::shared_ptr<ExecutionBackend> backend)
 {
@@ -99,12 +92,10 @@ SimCache::runAll(const std::vector<RunSpec> &specs, int threads)
         }
     }
 
-    // Resolve memory hits, claim the distinct missing keys, and note
-    // keys a concurrent runAll() already claimed (we wait for those
-    // instead of re-simulating).
-    std::vector<std::size_t> claimed; // spec indices whose keys we claimed
-    std::vector<std::size_t> dups;    // later specs with a claimed key
-    std::vector<std::size_t> waiting; // spec indices another call runs
+    // Memory hits, then the first spec of each missing key; later
+    // specs with that key copy its result at the end.
+    std::vector<std::size_t> misses; // first spec of each missing key
+    std::vector<std::size_t> dups;   // later specs with a missing key
     // Views into specs and derived, whose strings stay put: neither
     // vector grows.
     std::unordered_map<std::string_view, std::size_t> first_miss;
@@ -115,122 +106,49 @@ SimCache::runAll(const std::vector<RunSpec> &specs, int threads)
         disk_tier = disk;
         backend = simBackend;
         for (std::size_t i = 0; i < specs.size(); ++i) {
-            const std::string &key = *keys[i];
-            auto it = results.find(key);
-            if (it != results.end()) {
-                out[i] = it->second;
-                ++hitCount;
-                continue;
-            }
-            if (first_miss.count(key)) {
-                dups.push_back(i);
-                continue;
-            }
-            if (inFlight.count(key)) {
-                waiting.push_back(i);
-                continue;
-            }
-            first_miss.emplace(key, i);
-            inFlight.insert(key);
-            claimed.push_back(i);
-        }
-    }
-
-    if (!claimed.empty()) {
-        // Resolve our claimed misses outside the lock: disk tier
-        // first, then the execution backend.
-        std::uint64_t disk_hits = 0, disk_stores = 0;
-        std::vector<RunSpec> to_sim;
-        std::vector<std::size_t> sim_idx;
-        for (std::size_t i : claimed) {
-            if (disk_tier && disk_tier->load(*keys[i], out[i])) {
-                ++disk_hits;
-            } else {
-                to_sim.push_back(specs[i]);
-                sim_idx.push_back(i);
-            }
-        }
-
-        if (!to_sim.empty()) {
-            // On failure the claims must be released, or waiters in
-            // concurrent runAll() calls would block forever.
-            std::vector<SimResult> fresh;
-            try {
-                fresh = simulate(backend, to_sim, threads);
-            } catch (...) {
-                std::lock_guard<std::mutex> lock(mu);
-                for (std::size_t i : claimed)
-                    inFlight.erase(*keys[i]);
-                cv.notify_all();
-                throw;
-            }
-            for (std::size_t j = 0; j < sim_idx.size(); ++j) {
-                if (disk_tier &&
-                    disk_tier->store(*keys[sim_idx[j]], fresh[j]))
-                    ++disk_stores;
-                out[sim_idx[j]] = std::move(fresh[j]);
-            }
-        }
-
-        std::lock_guard<std::mutex> lock(mu);
-        for (std::size_t i : claimed) {
-            results.emplace(*keys[i], out[i]);
-            inFlight.erase(*keys[i]);
-        }
-        runCount += to_sim.size();
-        diskHitCount += disk_hits;
-        diskStoreCount += disk_stores;
-        for (std::size_t i : dups)
-            out[i] = out[first_miss.at(*keys[i])];
-        cv.notify_all();
-    }
-
-    if (!waiting.empty()) {
-        std::unique_lock<std::mutex> lock(mu);
-        for (std::size_t i : waiting) {
-            cv.wait(lock, [&] {
-                return results.count(*keys[i]) > 0 ||
-                       inFlight.count(*keys[i]) == 0;
-            });
             auto it = results.find(*keys[i]);
             if (it != results.end()) {
                 out[i] = it->second;
                 ++hitCount;
-                continue;
+            } else if (first_miss.emplace(*keys[i], i).second) {
+                misses.push_back(i);
+            } else {
+                dups.push_back(i);
             }
-            // The producing call failed, or clear() dropped the result
-            // before we woke: resolve it ourselves.
-            inFlight.insert(*keys[i]);
-            lock.unlock();
-            SimResult r;
-            bool from_disk =
-                disk_tier && disk_tier->load(*keys[i], r);
-            if (!from_disk) {
-                try {
-                    r = simulate(backend, {specs[i]}, 1).front();
-                } catch (...) {
-                    lock.lock();
-                    inFlight.erase(*keys[i]);
-                    cv.notify_all();
-                    throw;
-                }
-                if (disk_tier && disk_tier->store(*keys[i], r)) {
-                    lock.lock();
-                    ++diskStoreCount;
-                    lock.unlock();
-                }
-            }
-            lock.lock();
-            if (from_disk)
-                ++diskHitCount;
-            else
-                ++runCount;
-            results.emplace(*keys[i], r);
-            inFlight.erase(*keys[i]);
-            out[i] = r;
-            cv.notify_all();
         }
     }
+    if (misses.empty())
+        return out;
+
+    // The disk tier, then the backend, outside the lock.
+    std::uint64_t disk_hits = 0, disk_stores = 0;
+    std::vector<RunSpec> to_sim;
+    std::vector<std::size_t> sim_idx;
+    for (std::size_t i : misses) {
+        if (disk_tier && disk_tier->load(*keys[i], out[i])) {
+            ++disk_hits;
+        } else {
+            to_sim.push_back(specs[i]);
+            sim_idx.push_back(i);
+        }
+    }
+    if (!to_sim.empty()) {
+        std::vector<SimResult> fresh = simulate(backend, to_sim, threads);
+        for (std::size_t j = 0; j < sim_idx.size(); ++j) {
+            if (disk_tier && disk_tier->store(*keys[sim_idx[j]], fresh[j]))
+                ++disk_stores;
+            out[sim_idx[j]] = std::move(fresh[j]);
+        }
+    }
+    for (std::size_t i : dups)
+        out[i] = out[first_miss.at(*keys[i])];
+
+    std::lock_guard<std::mutex> lock(mu);
+    for (std::size_t i : misses)
+        results.emplace(*keys[i], out[i]);
+    runCount += to_sim.size();
+    diskHitCount += disk_hits;
+    diskStoreCount += disk_stores;
     return out;
 }
 
@@ -243,9 +161,6 @@ SimCache::clear()
     runCount = 0;
     diskHitCount = 0;
     diskStoreCount = 0;
-    // inFlight keys stay claimed by their active producers; wake
-    // waiters so none sleeps through a result dropped before it woke.
-    cv.notify_all();
 }
 
 std::uint64_t

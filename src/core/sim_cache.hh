@@ -11,22 +11,26 @@
  * simulations. Simulation itself is delegated to a pluggable
  * ExecutionBackend (default: the in-process ThreadedBackend).
  *
- * The process-wide instance behind the experiment framework is
- * global(); tests construct their own. Thread-safe: lookups and
- * inserts take a mutex, the simulations themselves run outside it on
- * the execution backend.
+ * Each runAll() batch is one pass: memory hits, then the first spec
+ * of each missing key, which the disk tier serves or else the backend
+ * simulates, then the store: simulated results go to the disk tier
+ * and every resolved miss to memory. The process-wide instance behind
+ * the experiment framework is global(); tests construct their own.
+ * Concurrent callers are memory-safe and get identical results:
+ * lookups, inserts and counters take a mutex, while disk I/O and
+ * simulations run outside it. Nothing coordinates a miss that two
+ * concurrent batches share, so each may simulate it; the experiments
+ * run their batches from one thread.
  */
 
 #ifndef BWSIM_CORE_SIM_CACHE_HH
 #define BWSIM_CORE_SIM_CACHE_HH
 
-#include <condition_variable>
 #include <cstdint>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "core/backend.hh"
@@ -63,11 +67,6 @@ class SimCache
      * configuration.
      */
     void attachDiskTier(const std::string &dir);
-
-    /** The attached disk tier; null when memory-only. Shared
-     *  ownership: the tier stays valid even if another thread
-     *  re-attaches a different directory. */
-    std::shared_ptr<const DiskSimCache> diskTier() const;
 
     /**
      * Replace the simulation backend (null restores the default
@@ -118,13 +117,9 @@ class SimCache
              const std::vector<RunSpec> &specs, int threads);
 
     mutable std::mutex mu;
-    std::condition_variable cv;
     std::unordered_map<std::string, SimResult> results;
-    /** Keys claimed by a runAll() in progress; concurrent callers
-     *  wait for the result instead of re-simulating. */
-    std::unordered_set<std::string> inFlight;
-    /** Shared so in-flight runAll() calls that snapshotted the tier
-     *  survive a concurrent attachDiskTier(). */
+    /** Shared so runAll() calls that snapshotted the tier survive a
+     *  concurrent attachDiskTier(). */
     std::shared_ptr<DiskSimCache> disk;
     std::shared_ptr<ExecutionBackend> simBackend;
     std::uint64_t hitCount = 0;

@@ -144,9 +144,6 @@ class DramChannel
     MemFetch *returnPop();
     /**@}*/
 
-    std::size_t schedQueueSize() const { return queuedCount; }
-    std::size_t schedQueueCapacity() const { return cfg.schedQueueEntries; }
-
     /**
      * Quiescence horizon (per-channel sleep). With an empty scheduler
      * queue, the earliest write-drain or read-return retirement

@@ -136,11 +136,6 @@ class MemoryPartition
     const CacheModel &l2Bank(std::uint32_t b) const { return *banks.at(b); }
     CacheModel &l2Bank(std::uint32_t b) { return *banks.at(b); }
     const DramChannel &dram() const { return *channel; }
-    const stats::OccupancyHist &l2AccessQueueHist() const
-    {
-        return accessQHist;
-    }
-    const stats::OccupancyHist &dramQueueHist() const { return dramQHist; }
 
     /** Data bytes this partition moved across the L2<->DRAM boundary
      *  (bus bytes with a real channel, pipe bytes in P_DRAM mode). */

@@ -195,12 +195,6 @@ CrossbarNetwork::ejectReady(std::uint32_t dst) const
 }
 
 MemFetch *
-CrossbarNetwork::ejectPeek(std::uint32_t dst)
-{
-    return ejQ.at(dst).front().mf;
-}
-
-MemFetch *
 CrossbarNetwork::ejectPop(std::uint32_t dst)
 {
     Packet p = ejQ.at(dst).pop();
@@ -221,19 +215,6 @@ CrossbarNetwork::packetsInFlight() const
     for (const auto &q : ejQ)
         n += q.size();
     return n;
-}
-
-std::size_t
-CrossbarNetwork::injQueueSize(std::uint32_t src) const
-{
-    return injQ.at(src).size();
-}
-
-void
-CrossbarNetwork::sampleInjOccupancy(stats::OccupancyHist &hist) const
-{
-    for (const auto &q : injQ)
-        hist.sample(q.size(), q.capacity());
 }
 
 } // namespace bwsim

@@ -32,7 +32,6 @@
 #include "common/types.hh"
 #include "mem/mem_fetch.hh"
 #include "sim/queue.hh"
-#include "stats/occupancy_hist.hh"
 #include "stats/stat.hh"
 
 namespace bwsim
@@ -99,7 +98,6 @@ class CrossbarNetwork
     /** @name Ejection side (owner pops delivered packets) */
     /**@{*/
     bool ejectReady(std::uint32_t dst) const;
-    MemFetch *ejectPeek(std::uint32_t dst);
     MemFetch *ejectPop(std::uint32_t dst);
     /**@}*/
 
@@ -117,11 +115,6 @@ class CrossbarNetwork
 
     /** Network cycles ticked (bytes/cycle denominators). */
     std::uint64_t cyclesTicked() const { return cycle; }
-
-    std::size_t injQueueSize(std::uint32_t src) const;
-
-    /** Sample all injection-queue occupancies into @p hist. */
-    void sampleInjOccupancy(stats::OccupancyHist &hist) const;
 
   private:
     struct Packet

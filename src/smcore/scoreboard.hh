@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "common/log.hh"
-#include "smcore/isa.hh"
 
 namespace bwsim
 {
@@ -39,18 +38,11 @@ class Scoreboard
     }
 
     /**
-     * Can @p inst issue for @p warp? If not, @p blocked_on reports
-     * whether a memory or an ALU dependency blocks it (memory wins if
-     * both are present, matching the paper's attribution).
+     * Can an instruction reading @p src and writing @p dest issue for
+     * @p warp? If not, @p blocked_on reports whether a memory or an
+     * ALU dependency blocks it (memory wins if both are present,
+     * matching the paper's attribution).
      */
-    bool
-    canIssue(int warp, const WarpInstData &inst,
-             PendingKind &blocked_on) const
-    {
-        return canIssueRegs(warp, inst.src, inst.dest, blocked_on);
-    }
-
-    /** Register-id variant used by the compact issue fast path. */
     bool
     canIssueRegs(int warp, int src, int dest,
                  PendingKind &blocked_on) const

@@ -123,15 +123,6 @@ struct CoreCounters
     std::uint64_t memLatCount = 0;
     double l2HitLatSum = 0;
     std::uint64_t l2HitLatCount = 0;
-
-    std::uint64_t
-    totalIssueStalls() const
-    {
-        std::uint64_t n = 0;
-        for (auto s : issueStalls)
-            n += s;
-        return n;
-    }
 };
 
 class SmCore
@@ -209,9 +200,6 @@ class SmCore
 
     /** Deliver a reply (L1D or L1I fill); frees the packet. */
     void deliverResponse(MemFetch *mf, double now_ps);
-
-    /** Live warps right now (tests / occupancy stats). */
-    int activeWarps() const { return liveWarps; }
 
   private:
     struct Warp

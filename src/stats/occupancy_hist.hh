@@ -97,12 +97,6 @@ class OccupancyHist
                static_cast<double>(lifetime);
     }
 
-    std::uint64_t
-    bandCount(OccBand band) const
-    {
-        return counts[static_cast<unsigned>(band)];
-    }
-
     /** Total non-empty cycles observed. */
     std::uint64_t usageLifetime() const { return lifetime; }
 

@@ -108,7 +108,6 @@ class Distribution : public StatBase
     void sample(double v, std::uint64_t weight = 1);
 
     std::uint64_t bucketCount(unsigned i) const { return buckets.at(i); }
-    unsigned numBuckets() const { return unsigned(buckets.size()); }
     std::uint64_t samples() const { return total; }
 
     /** Mean of sampled values. */
@@ -265,7 +264,6 @@ class Group
     /** Recursively print "path.stat value # desc" lines. */
     void dump(std::ostream &os, const std::string &prefix = "") const;
 
-    const std::vector<StatBase *> &statList() const { return statsVec; }
     const std::vector<Group *> &children() const { return kids; }
 
   private:

@@ -38,7 +38,6 @@ class TextTable
     /**@}*/
 
     std::size_t numRows() const { return rows.size(); }
-    std::size_t numCols() const { return header.size(); }
 
     /** Cell accessor for tests: row-major, header excluded. */
     const std::string &cell(std::size_t row, std::size_t col) const;

@@ -20,7 +20,8 @@
  *
  * Each benchmark's parameters were chosen to reproduce its published
  * first-order behaviour (which memory level limits it, its P-inf /
- * P-DRAM class); EXPERIMENTS.md records paper-vs-measured.
+ * P-DRAM class); tests/test_paper_shapes.cc asserts it, and each
+ * `bwsim` figure prints the paper's averages beside its table.
  */
 
 #ifndef BWSIM_WORKLOADS_PROFILE_HH

@@ -16,8 +16,8 @@ constexpr std::uint64_t kMB = 1024 * 1024;
  * The 19 memory-intensive benchmarks of Table II. The parameters are a
  * calibrated synthetic stand-in for the real CUDA binaries: each
  * profile is shaped so the benchmark bottlenecks in the same part of
- * the hierarchy as the paper reports (see DESIGN.md §2 and
- * EXPERIMENTS.md for paper-vs-measured).
+ * the hierarchy as the paper reports (tests/test_paper_shapes.cc
+ * asserts those shapes).
  *
  * Region semantics (uniform random draws within each region):
  *  - hot: tiny per-core region, L1-resident => L1 hits;

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cctype>
 #include <filesystem>
 #include <iterator>
 #include <memory>
@@ -42,9 +43,9 @@ runCli(std::vector<const char *> args, std::string &out_s,
 TEST(Cli, RegistryCoversEveryExperiment)
 {
     const auto &reg = cli::experimentRegistry();
-    // 17 experiments: figs 1/3/4/5/7/8/9/10/11/12, tables I-III,
+    // 18 experiments: figs 1/3/4/5/6/7/8/9/10/11/12, tables I-III,
     // secs IV/VI/VII, and the ablation study.
-    EXPECT_EQ(reg.size(), 17u);
+    EXPECT_EQ(reg.size(), 18u);
     for (const auto &e : reg) {
         EXPECT_FALSE(e.name.empty());
         EXPECT_FALSE(e.title.empty());
@@ -105,6 +106,71 @@ TEST(Cli, StaticTablesRunWithoutSimulation)
     EXPECT_NE(out.find("Table III"), std::string::npos);
     ASSERT_EQ(runCli({"sec7"}, out, err), 0);
     EXPECT_NE(out.find("area overhead"), std::string::npos);
+}
+
+namespace
+{
+
+/** The Fig. 6 schedules in @p out, one per "MSHR size" heading, each
+ *  row as "<cycle> <event>"; text and tsv tables read the same. */
+std::vector<std::vector<std::string>>
+fig6Schedules(const std::string &out)
+{
+    std::vector<std::vector<std::string>> schedules;
+    std::istringstream in(out);
+    for (std::string line; std::getline(in, line);) {
+        if (line.find("MSHR size:") != std::string::npos) {
+            schedules.emplace_back();
+        } else if (!schedules.empty() && !line.empty() &&
+                   std::isdigit(static_cast<unsigned char>(line[0]))) {
+            const std::size_t gap = line.find_first_of(" \t");
+            const std::size_t cell = line.find_first_not_of(" \t", gap);
+            const std::size_t end = line.find_last_not_of(' ') + 1;
+            schedules.back().push_back(line.substr(0, gap) + " " +
+                                       line.substr(cell, end - cell));
+        }
+    }
+    return schedules;
+}
+
+} // namespace
+
+TEST(Cli, Fig6ContrastsTwoAndEightMshrsWithoutSimulating)
+{
+    // With 2 MSHRs, I3 waits for the first fill and the I4 hit and the
+    // independent I5 queue behind it; with 8, all five issue back to
+    // back. Fig. 6 replays one L1, so no GPU is simulated.
+    const std::vector<std::string> two_mshrs = {
+        "1 I1 LD r1,[0x0100] MISS",
+        "2 I2 LD r2,[0x0200] MISS",
+        "7 fill 0x0100",
+        "7 I3 LD r3,[0x0300] MISS",
+        "8 fill 0x0200",
+        "8 I4 LD r4,[0x0400] HIT (data @9)",
+        "9 I5 MULT r7,r6,r5 issue (done @13)",
+        "13 fill 0x0300"};
+    const std::vector<std::string> eight_mshrs = {
+        "1 I1 LD r1,[0x0100] MISS",
+        "2 I2 LD r2,[0x0200] MISS",
+        "3 I3 LD r3,[0x0300] MISS",
+        "4 I4 LD r4,[0x0400] HIT (data @5)",
+        "5 I5 MULT r7,r6,r5 issue (done @9)",
+        "7 fill 0x0100",
+        "8 fill 0x0200",
+        "9 fill 0x0300"};
+    for (const char *format : {"--format=text", "--format=tsv"}) {
+        SimCache::global().clear();
+        std::string out, err;
+        ASSERT_EQ(runCli({"fig6", format, "--exec-stats"}, out, err), 0)
+            << err;
+        EXPECT_NE(err.find("exec stats: sims=0 "), std::string::npos)
+            << err;
+        const auto schedules = fig6Schedules(out);
+        ASSERT_EQ(schedules.size(), 2u) << format << "\n" << out;
+        EXPECT_EQ(schedules[0], two_mshrs) << format;
+        EXPECT_EQ(schedules[1], eight_mshrs) << format;
+    }
+    SimCache::global().clear();
 }
 
 TEST(Cli, MultipleExperimentsSeparatedByBlankLine)

@@ -50,8 +50,8 @@ TEST(Dse, RunAllPreservesOrderAndParallelismAgrees)
         s.config = GpuConfig::baseline();
         specs.push_back(s);
     }
-    auto serial = runAll(specs, 1);
-    auto parallel = runAll(specs, 4);
+    auto serial = ThreadedBackend().runAll(specs, 1);
+    auto parallel = ThreadedBackend().runAll(specs, 4);
     ASSERT_EQ(serial.size(), 2u);
     EXPECT_EQ(serial[0].benchmark, "mm");
     EXPECT_EQ(serial[1].benchmark, "nn");

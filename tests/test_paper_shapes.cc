@@ -2,8 +2,8 @@
  * @file
  * Shape tests: the paper's qualitative findings must hold on the
  * synthetic suite (run shrunk 2x for speed). These are the headline
- * claims of §III, §VI and §VII; EXPERIMENTS.md records the full-size
- * quantitative comparison.
+ * claims of §III, §VI and §VII; each `bwsim` figure prints the paper's
+ * averages beside its full-size table.
  */
 
 #include <gtest/gtest.h>
@@ -123,8 +123,7 @@ TEST(PaperShape, StencilHasBestDramEfficiency)
     // §IV-B1: stencil peaks DRAM bandwidth efficiency (~65%).
     // Our stencil's DRAM traffic is writeback-dominated, which
     // scrambles row order relative to the paper's testbed; we assert
-    // a meaningful utilization rather than the paper's 65% peak (the
-    // deviation is recorded in EXPERIMENTS.md).
+    // a meaningful utilization rather than the paper's 65% peak.
     SimResult stencil = runShrunk("stencil", GpuConfig::baseline(), 1);
     EXPECT_GT(stencil.dramEfficiency, 0.22);
     EXPECT_LT(stencil.dramEfficiency, 1.0);

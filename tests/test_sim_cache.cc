@@ -11,7 +11,6 @@
 
 #include <memory>
 #include <sstream>
-#include <thread>
 #include <unordered_map>
 
 #include "cli/cli.hh"
@@ -166,13 +165,14 @@ TEST(SimCache, TwoFigureDriverRunSimulatesBaselineOnce)
 
     SimCache &cache = SimCache::global();
     cache.clear();
+    exp::configureExecution(opts);
 
-    std::ostringstream out, err;
-    ASSERT_EQ(cli::runExperiment("fig1", opts, out, err), 0);
+    std::ostringstream out;
+    cli::findExperiment("fig1")->run(opts, out);
     EXPECT_EQ(cache.simsRun(), 2u); // one per benchmark
     EXPECT_EQ(cache.hits(), 0u);
 
-    ASSERT_EQ(cli::runExperiment("fig4", opts, out, err), 0);
+    cli::findExperiment("fig4")->run(opts, out);
     EXPECT_EQ(cache.simsRun(), 2u) << "fig4 re-simulated the baseline";
     EXPECT_EQ(cache.hits(), 2u);
 
@@ -197,29 +197,6 @@ TEST(SimCache, ConfigKeySeesEveryPresetDistinctly)
                 << cfgs[i].name << " vs " << cfgs[j].name;
     EXPECT_EQ(GpuConfig::baseline(), GpuConfig::baseline());
     EXPECT_NE(GpuConfig::baseline(), GpuConfig::scaledL2());
-}
-
-TEST(SimCache, ConcurrentCallersSimulateEachPairOnce)
-{
-    // Two threads racing runAll() on the same uncached spec: the
-    // second must wait for the first's in-flight simulation instead
-    // of re-running it.
-    BenchmarkProfile p = makeTestProfile("tiny-mixed");
-    GpuConfig cfg = quickConfig();
-    SimCache cache;
-    std::vector<RunSpec> specs{{p, cfg}};
-
-    std::vector<SimResult> a, b;
-    std::thread t1([&] { a = cache.runAll(specs, 1); });
-    std::thread t2([&] { b = cache.runAll(specs, 1); });
-    t1.join();
-    t2.join();
-
-    EXPECT_EQ(cache.simsRun(), 1u);
-    EXPECT_EQ(cache.hits(), 1u);
-    ASSERT_EQ(a.size(), 1u);
-    ASSERT_EQ(b.size(), 1u);
-    expectIdentical(a[0], b[0]);
 }
 
 TEST(SimCache, GpuConfigHashKeysUnorderedContainers)
